@@ -2,8 +2,9 @@
 
 Subcommands: run, sweep, attack, audit, validate. Configuration is a YAML
 file with a versioned ``schema`` field and nested sections; unknown keys are
-rejected so typos fail loudly. Exit codes: 0 success, 2 configuration
-error, 3 divergence, 4 inconclusive attack.
+rejected so typos fail loudly, and every value is checked where it enters.
+Exit codes: 0 success, 2 configuration error, 3 divergence, 4 inconclusive
+attack, 5 numerical failure.
 
 Reports are deterministic: the CSV body is a pure function of the resolved
 config (floats are printed with repr, the shortest round-trip form), so
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -29,7 +31,7 @@ from .adversary import (
     infer_gradient,
 )
 from .engine import LambdaSchedule, Scenario, StepSizes, replay, run
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, NumericalError
 from .graph import DirectedGraph, directed_ring, sensor_network_6
 from .monitor import admissibility_report
 from .objective import make_sensor_scenario
@@ -84,15 +86,43 @@ def _section(cfg: dict, name: str, allowed: set, required: bool = True) -> dict:
 
 def _as_float(value, where: str) -> float:
     try:
-        return float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return x
 
 
-def _as_int(value, where: str) -> int:
+def _as_int(value, where: str, lo: int | None = None, hi: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ConfigError(f"{where} must be {bounds}, got {value}")
     return value
+
+
+def _as_grid(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return sorted(_as_float(v, f"{where}[i]") for v in value)
+
+
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _check_law(alphas: list[float], lam: dict | None, where: str) -> None:
+    """Check step sizes and the gradient-weight schedule by the engine's rules."""
+    try:
+        StepSizes(np.array(alphas))
+        if lam is not None:
+            LambdaSchedule(lam["e"], lam["m"])
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(path: str | Path) -> dict:
@@ -123,7 +153,7 @@ def build_graph(cfg: dict) -> DirectedGraph:
             return sensor_network_6()
         ring = re.fullmatch(r"ring-(\d+)", str(preset))
         if ring:
-            return directed_ring(int(ring.group(1)))
+            return directed_ring(_as_int(int(ring.group(1)), f"graph preset {preset}: n", lo=2))
         raise ConfigError(f"unknown graph preset {preset!r} (known: sensor-6, ring-<n>)")
     if "edges" not in sec or "n" not in sec:
         raise ConfigError("graph: need a preset, or both n and edges")
@@ -132,7 +162,11 @@ def build_graph(cfg: dict) -> DirectedGraph:
         isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
     ):
         raise ConfigError("graph.edges must be a list of [src, dst] pairs")
-    graph = DirectedGraph(_as_int(sec["n"], "graph.n"), tuple((int(a), int(b)) for a, b in edges))
+    pairs = tuple((_as_int(a, "graph.edges[i]"), _as_int(b, "graph.edges[i]")) for a, b in edges)
+    try:  # agent count, self-loops, duplicates, ids outside 1..n
+        graph = DirectedGraph(_as_int(sec["n"], "graph.n"), pairs)
+    except ValueError as exc:
+        raise ConfigError(f"graph: {exc}") from None
     if not graph.is_strongly_connected():
         raise ConfigError("graph is not strongly connected")
     return graph
@@ -163,8 +197,6 @@ def resolve(cfg: dict, overrides: argparse.Namespace | None = None) -> dict:
         alpha_values = [_as_float(a, "algorithm.alpha[i]") for a in alpha]
     else:
         alpha_values = [_as_float(alpha, "algorithm.alpha")] * graph.n
-    if any(a <= 0 for a in alpha_values):
-        raise ConfigError("step sizes must be positive")
 
     lam = None
     if mode == "wgt":
@@ -174,14 +206,12 @@ def resolve(cfg: dict, overrides: argparse.Namespace | None = None) -> dict:
         _check_keys(lsec, _LAMBDA_KEYS, "algorithm.lambda")
         e = _as_float(lsec.get("e", 0.0), "algorithm.lambda.e")
         m = _as_float(lsec.get("m", 0.0), "algorithm.lambda.m")
-        if e <= 0:
-            raise ConfigError(f"algorithm.lambda.e must be > 0, got {e}")
-        if m < 0:
-            raise ConfigError(f"algorithm.lambda.m must be >= 0, got {m}")
         lam = {"e": e, "m": m}
-    K = _as_int(asec.get("K", 1), "algorithm.K")
-    if K < 1:
-        raise ConfigError(f"algorithm.K must be >= 1, got {K}")
+    _check_law(alpha_values, lam, "algorithm")
+    K = _as_int(asec.get("K", 1), "algorithm.K", lo=1)
+    r = _as_float(osec.get("r", 0.01), "objective.r")
+    if r < 0:
+        raise ConfigError(f"objective.r must be >= 0, got {r}")
 
     resolved = {
         "schema": SCHEMA_VERSION,
@@ -191,31 +221,33 @@ def resolve(cfg: dict, overrides: argparse.Namespace | None = None) -> dict:
             "mode": wsec.get("mode", "static"),
             "a_floor": _as_float(wsec.get("a_floor", 0.1), "weights.a_floor"),
             "b_floor": _as_float(wsec.get("b_floor", 0.1), "weights.b_floor"),
-            "seed": _as_int(wsec.get("seed", 0), "weights.seed"),
+            "seed": _as_int(wsec.get("seed", 0), "weights.seed", lo=0),
         },
         "objective": {
             "n": obj_n,
-            "d": _as_int(osec.get("d", 3), "objective.d"),
-            "p": _as_int(osec.get("p", 2), "objective.p"),
-            "r": _as_float(osec.get("r", 0.01), "objective.r"),
-            "seed": _as_int(osec.get("seed", 0), "objective.seed"),
+            "d": _as_int(osec.get("d", 3), "objective.d", lo=1),
+            "p": _as_int(osec.get("p", 2), "objective.p", lo=1),
+            "r": r,
+            "seed": _as_int(osec.get("seed", 0), "objective.seed", lo=0),
         },
         "algorithm": {
             "mode": mode,
             "alpha": alpha_values,
             "lambda": lam,
             "K": K,
-            "init_seed": _as_int(asec.get("init_seed", 0), "algorithm.init_seed"),
+            "init_seed": _as_int(asec.get("init_seed", 0), "algorithm.init_seed", lo=0),
         },
         "report": {
             "output_dir": str(rsec.get("output_dir", ".")),
             "residual_threshold": _as_float(
                 rsec.get("residual_threshold", 1e-6), "report.residual_threshold"
             ),
-            "record_transcript": bool(rsec.get("record_transcript", False)),
-            "admissibility": bool(rsec.get("admissibility", False)),
+            "record_transcript": _as_bool(
+                rsec.get("record_transcript", False), "report.record_transcript"
+            ),
+            "admissibility": _as_bool(rsec.get("admissibility", False), "report.admissibility"),
             "admissibility_horizon": _as_int(
-                rsec.get("admissibility_horizon", 200), "report.admissibility_horizon"
+                rsec.get("admissibility_horizon", 200), "report.admissibility_horizon", lo=1
             ),
             "divergence_cap": _as_float(rsec.get("divergence_cap", 1e12), "report.divergence_cap"),
         },
@@ -224,13 +256,13 @@ def resolve(cfg: dict, overrides: argparse.Namespace | None = None) -> dict:
         if getattr(overrides, "output_dir", None):
             resolved["report"]["output_dir"] = overrides.output_dir
         if getattr(overrides, "threshold", None) is not None:
-            resolved["report"]["residual_threshold"] = overrides.threshold
+            resolved["report"]["residual_threshold"] = _as_float(overrides.threshold, "--threshold")
         if getattr(overrides, "objective_seed", None) is not None:
-            resolved["objective"]["seed"] = overrides.objective_seed
+            resolved["objective"]["seed"] = _as_int(overrides.objective_seed, "--objective-seed", 0)
         if getattr(overrides, "init_seed", None) is not None:
-            resolved["algorithm"]["init_seed"] = overrides.init_seed
+            resolved["algorithm"]["init_seed"] = _as_int(overrides.init_seed, "--init-seed", 0)
         if getattr(overrides, "weight_seed", None) is not None:
-            resolved["weights"]["seed"] = overrides.weight_seed
+            resolved["weights"]["seed"] = _as_int(overrides.weight_seed, "--weight-seed", 0)
     return resolved
 
 
@@ -265,11 +297,9 @@ def _fmt(x: float) -> str:
 
 def write_run_csv(path: Path, report) -> None:
     lines = [CSV_HEADER]
-    for t in range(report.ks.size):
-        lines.append(
-            f"{int(report.ks[t])},{_fmt(report.residuals[t])},{_fmt(report.consensus_errors[t])},"
-            f"{_fmt(report.tracking_errors[t])},{_fmt(report.lambdas[t])}"
-        )
+    columns = (report.residuals, report.consensus_errors, report.tracking_errors, report.lambdas)
+    for k, row in enumerate(zip(*columns), 1):
+        lines.append(f"{k}," + ",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -400,8 +430,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep.alpha and sweep.e must be mappings with a grid")
     _check_keys(asweep, _SWEEP_ALPHA_KEYS, "sweep.alpha")
     _check_keys(esweep, _SWEEP_E_KEYS, "sweep.e")
-    alphas = sorted(_as_float(a, "sweep.alpha.grid[i]") for a in asweep.get("grid", []))
-    es = sorted(_as_float(e, "sweep.e.grid[i]") for e in esweep.get("grid", []))
+    alphas = _as_grid(asweep.get("grid", []), "sweep.alpha.grid")
+    es = _as_grid(esweep.get("grid", []), "sweep.e.grid")
     if not alphas and not es:
         raise ConfigError("sweep: empty grid (need sweep.alpha.grid and/or sweep.e.grid)")
     alpha_fixed_e = _as_float(asweep.get("e", lam0["e"]), "sweep.alpha.e")
@@ -413,15 +443,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = sec.get("seeds", [resolved["objective"]["seed"]])
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("sweep.seeds must be a non-empty list")
-    seeds = [_as_int(s, "sweep.seeds[i]") for s in seeds]
-    K = _as_int(sec.get("K", resolved["algorithm"]["K"]), "sweep.K")
+    seeds = [_as_int(s, "sweep.seeds[i]", lo=0) for s in seeds]
+    K = _as_int(sec.get("K", resolved["algorithm"]["K"]), "sweep.K", lo=1)
+    params = [("alpha", a, alpha_fixed_e, alpha_fixed_m) for a in alphas]
+    params += [("e", e_fixed_alpha, e, e_fixed_m) for e in es]
+    for kind, a, e, m in params:
+        _check_law([a], {"e": e, "m": m}, f"sweep.{kind}")
 
-    cells = []
-    for seed in seeds:
-        for a in alphas:
-            cells.append(_sweep_cell(resolved, "alpha", a, alpha_fixed_e, alpha_fixed_m, seed, K))
-        for e in es:
-            cells.append(_sweep_cell(resolved, "e", e_fixed_alpha, e, e_fixed_m, seed, K))
+    cells = [_sweep_cell(resolved, *cell, seed, K) for seed in seeds for cell in params]
 
     alpha_cells = [c for c in cells if c["kind"] == "alpha"]
     e_cells = [c for c in cells if c["kind"] == "e"]
@@ -505,9 +534,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     resolved = resolve(cfg, args)
     sec = _section(cfg, "attack", _ATTACK_KEYS, required=False)
-    target = args.target if args.target is not None else _as_int(sec.get("target", 1), "attack.target")
+    n = resolved["graph"]["n"]
+    target = sec.get("target", 1) if args.target is None else args.target
+    target = _as_int(target, "attack target (--target or attack.target)", 1, n)
     tol = _as_float(sec.get("stabilization_tol", 1e-10), "attack.stabilization_tol")
-    window = _as_int(sec.get("window", 50), "attack.window")
+    window = _as_int(sec.get("window", 50), "attack.window", lo=1)
 
     scenario, report, transcript = _execute(resolved, record_transcript=True)
     attack = infer_gradient(
@@ -524,7 +555,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         "state_structural": audit_state_system(max(audit_K, 2), p).to_dict(),
         "gradient_structural": audit_gradient_system(max(audit_K, 1), p).to_dict(),
     }
-    if resolved["graph"]["n"] == 2 and report.mode == "wgt" and transcript.K >= 2:
+    if n == 2 and report.mode == "wgt" and transcript.K >= 2:
         other = 2 if target == 1 else 1
         audits["two_agent"] = _numeric_audits(
             scenario, report.mode, transcript, target, other, audit_K
@@ -552,9 +583,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     resolved = resolve(cfg, args)
     sec = _section(cfg, "audit", _AUDIT_KEYS, required=False)
-    K_audit = _as_int(sec.get("K", 3), "audit.K")
-    honest = _as_int(sec.get("honest", 1), "audit.honest")
-    attacker = _as_int(sec.get("attacker", 2), "audit.attacker")
+    n = resolved["graph"]["n"]
+    two_agent = n == 2 and resolved["algorithm"]["mode"] == "wgt"
+    # the numeric two-agent audit stacks at least two iterations of the run
+    K_audit = _as_int(sec.get("K", 3), "audit.K", lo=2 if two_agent else 1)
+    if two_agent and resolved["algorithm"]["K"] < 2:
+        raise ConfigError("the two-agent audit needs algorithm.K >= 2")
+    honest = _as_int(sec.get("honest", 1), "audit.honest", 1, n)
+    attacker = _as_int(sec.get("attacker", 2), "audit.attacker", 1, n)
+    if honest == attacker:
+        raise ConfigError("audit.honest and audit.attacker must be different agents")
     p = resolved["objective"]["p"]
 
     payload = {
@@ -562,7 +600,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         "state_structural": audit_state_system(max(K_audit, 2), p).to_dict(),
         "gradient_structural": audit_gradient_system(K_audit, p).to_dict(),
     }
-    if resolved["graph"]["n"] == 2 and resolved["algorithm"]["mode"] == "wgt":
+    if two_agent:
         scenario, report, transcript = _execute(resolved, record_transcript=True)
         payload["summary"] = report.summary()
         payload["two_agent"] = _numeric_audits(
@@ -634,12 +672,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

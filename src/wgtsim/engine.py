@@ -21,6 +21,7 @@ recorded trajectory bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,10 +62,10 @@ class LambdaSchedule:
     m: float = 0.0
 
     def __post_init__(self):
-        if not self.e > 0.0:
-            raise ValueError(f"decay exponent must be positive, got e={self.e}")
-        if self.m < 0.0:
-            raise ValueError(f"offset must be >= 0, got m={self.m}")
+        if not (math.isfinite(self.e) and self.e > 0.0):
+            raise ValueError(f"decay exponent must be positive and finite, got e={self.e}")
+        if not (math.isfinite(self.m) and self.m >= 0.0):
+            raise ValueError(f"offset must be finite and >= 0, got m={self.m}")
 
     def value(self, k: int) -> float:
         return 1.0 / (float(k) ** self.e + self.m)
@@ -72,10 +73,6 @@ class LambdaSchedule:
     @property
     def sum_diverges(self) -> bool:
         return self.e <= 1.0
-
-    @property
-    def decays(self) -> bool:
-        return True
 
     def describe(self) -> str:
         return f"1/(k^{self.e:g} + {self.m:g})"
@@ -92,8 +89,8 @@ class ConstantLambda:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"constant weight must be positive, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"constant weight must be positive and finite, got {self.c}")
 
     def value(self, k: int) -> float:
         return self.c
@@ -101,10 +98,6 @@ class ConstantLambda:
     @property
     def sum_diverges(self) -> bool:
         return True
-
-    @property
-    def decays(self) -> bool:
-        return False
 
     def describe(self) -> str:
         return f"constant {self.c:g} (non-vanishing; outside the convergence theory)"
@@ -120,8 +113,8 @@ class StepSizes:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("step sizes must be a non-empty 1-d array")
-        if np.any(v <= 0.0):
-            raise ValueError("step sizes must be positive")
+        if not np.all(np.isfinite(v) & (v > 0.0)):
+            raise ValueError("step sizes must be positive and finite")
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -209,13 +202,24 @@ class Scenario:
         return rng.uniform(size=(self.graph.n, self.ensemble.p))
 
 
+METRIC_COLUMNS = (
+    "residual", "consensus_error", "tracking_error", "lambda", "conservation_residual", "grad_norm"
+)
+
+
+def _column(j: int) -> property:
+    return property(lambda self: self.metrics[:, j], doc=f"The {METRIC_COLUMNS[j]!r} column.")
+
+
 @dataclass
 class RunReport:
     """Per-iteration metrics plus summary data for a finished run.
 
-    Row t corresponds to iteration k = t + 1; a K-step run has K + 1 rows,
-    the first describing the initial state. residuals are squared distances
-    to the consensus optimum, normalized by the initial one.
+    Row t of metrics (columns METRIC_COLUMNS) and of pis corresponds to
+    iteration k = t + 1; a K-step run has K + 1 rows, the first describing
+    the initial state. residuals are squared distances to the consensus
+    optimum, normalized by the initial one. residuals, consensus_errors and
+    the other per-metric attributes are views of the table's columns.
     """
 
     mode: str
@@ -224,22 +228,27 @@ class RunReport:
     p: int
     xbar_weighting: str  # "phi" or "uniform"
     threshold: float
-    ks: np.ndarray
-    residuals: np.ndarray
-    consensus_errors: np.ndarray
-    tracking_errors: np.ndarray
-    lambdas: np.ndarray
-    conservation_residuals: np.ndarray
-    grad_norms: np.ndarray
+    metrics: np.ndarray  # (K+1, len(METRIC_COLUMNS))
     x_star: np.ndarray
     pis: np.ndarray  # (K+1, n)
     final_state: NetworkState
     info: dict = field(default_factory=dict)
     states: tuple[np.ndarray, np.ndarray] | None = None  # (xs, ys), if recorded
 
+    residuals = _column(0)
+    consensus_errors = _column(1)
+    tracking_errors = _column(2)
+    lambdas = _column(3)
+    conservation_residuals = _column(4)
+    grad_norms = _column(5)
+
+    @property
+    def ks(self) -> np.ndarray:
+        return np.arange(1, self.K + 2)
+
     def iterations_to_threshold(self) -> int | None:
         hit = np.nonzero(self.residuals <= self.threshold)[0]
-        return int(self.ks[hit[0]]) if hit.size else None
+        return int(hit[0]) + 1 if hit.size else None
 
     def summary(self) -> dict:
         its = self.iterations_to_threshold()
@@ -256,10 +265,6 @@ class RunReport:
         }
 
 
-def _edge_arrays(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    return graph.edge_index_arrays()
-
-
 def _edges_from_matrix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recover canonical (src, dst) edge arrays from B's off-diagonal pattern."""
     rows, cols = np.nonzero(B)
@@ -267,16 +272,6 @@ def _edges_from_matrix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src = np.array([a for a, b in pairs], dtype=np.intp)
     dst = np.array([b for a, b in pairs], dtype=np.intp)
     return src, dst
-
-
-def _accumulate(own: np.ndarray, dst: np.ndarray, msgs: np.ndarray) -> np.ndarray:
-    """Add per-edge messages onto receiver rows, in edge order.
-
-    np.add.at applies the additions sequentially in index order, which pins
-    the floating-point summation order; replay relies on that.
-    """
-    np.add.at(own, dst, msgs)
-    return own
 
 
 def _step(
@@ -292,67 +287,32 @@ def _step(
     lam,
     k: int,
     ensemble: ObjectiveEnsemble,
+    msgs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """One synchronous iteration; returns new (x, y, grad) and the messages."""
-    a_edge = A[dst, src][:, None]
-    if mode == "wgt":
-        combined = x - alphas[:, None] * y
-        x_msgs = combined[src]
-        x_next = _accumulate(np.diag(A)[:, None] * combined, dst, a_edge * x_msgs)
-    else:
-        x_msgs = x[src]
-        x_next = _accumulate(np.diag(A)[:, None] * x, dst, a_edge * x_msgs)
-        x_next = x_next - alphas[0] * y
-    y_msgs = B[dst, src][:, None] * y[src]
-    y_mix = _accumulate(np.diag(B)[:, None] * y, dst, y_msgs)
+    """One synchronous iteration; returns new (x, y, grad) and the messages.
+
+    msgs=None computes the (x_msgs, y_msgs) the senders put on the
+    channels; recorded messages (replay) are mixed in their place.
+    """
+    # wgt adapts before it combines: the x-channel carries x - alpha * y
+    sent = x - alphas[:, None] * y if mode == "wgt" else x
+    if msgs is None:
+        msgs = sent[src], B[dst, src][:, None] * y[src]
+    x_msgs, y_msgs = msgs
+    # np.add.at adds the per-edge terms one at a time in edge order, which
+    # pins the floating-point summation order that bit-exact replay needs
+    x_next = np.diag(A)[:, None] * sent
+    np.add.at(x_next, dst, A[dst, src][:, None] * x_msgs)
+    if mode == "ab":
+        x_next -= alphas[0] * y
+    y_mix = np.diag(B)[:, None] * y
+    np.add.at(y_mix, dst, y_msgs)
     g_next = ensemble.gradients(x_next)
     if mode == "wgt":
         y_next = y_mix + lam.value(k + 1) * g_next - lam.value(k) * g_prev
     else:
         y_next = y_mix + g_next - g_prev
     return x_next, y_next, g_next, x_msgs, y_msgs
-
-
-def _replay_step(
-    mode: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    g_prev: np.ndarray,
-    A: np.ndarray,
-    B: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    alphas: np.ndarray,
-    lam,
-    k: int,
-    ensemble: ObjectiveEnsemble,
-    x_msgs: np.ndarray,
-    y_msgs: np.ndarray,
-):
-    """Same arithmetic as _step, but messages come from a transcript."""
-    a_edge = A[dst, src][:, None]
-    if mode == "wgt":
-        combined = x - alphas[:, None] * y
-        x_next = _accumulate(np.diag(A)[:, None] * combined, dst, a_edge * x_msgs)
-    else:
-        x_next = _accumulate(np.diag(A)[:, None] * x, dst, a_edge * x_msgs)
-        x_next = x_next - alphas[0] * y
-    y_mix = _accumulate(np.diag(B)[:, None] * y, dst, y_msgs)
-    g_next = ensemble.gradients(x_next)
-    if mode == "wgt":
-        y_next = y_mix + lam.value(k + 1) * g_next - lam.value(k) * g_prev
-    else:
-        y_next = y_mix + g_next - g_prev
-    return x_next, y_next, g_next
-
-
-def _normalize_steps(alpha, n: int) -> StepSizes:
-    if isinstance(alpha, StepSizes):
-        return alpha
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim == 0:
-        return StepSizes.homogeneous(float(arr), n)
-    return StepSizes(arr)
 
 
 def ab_step(
@@ -387,18 +347,30 @@ def wgt_step(
 ) -> NetworkState:
     """One weighted-tracking iteration with per-agent step sizes.
 
-    lam must expose value(k); the gradient increment uses lam at k and k+1,
+    steps is a StepSizes, one step for all agents, or one per agent. lam
+    must expose value(k); the gradient increment uses lam at k and k+1,
     and a schedule that increases between the two is rejected.
     """
     if lam.value(state.k + 1) > lam.value(state.k):
         raise ValueError("gradient-weight schedule must be nonincreasing")
     src, dst = _edges_from_matrix(B_k)
-    alphas = _normalize_steps(steps, state.x.shape[0]).values
+    alphas = StepSizes(np.broadcast_to(getattr(steps, "values", steps), state.x.shape[0])).values
     g_prev = ensemble.gradients(state.x)
     x2, y2, _, _, _ = _step(
         "wgt", state.x, state.y, g_prev, A_k, B_k, src, dst, alphas, lam, state.k, ensemble
     )
     return NetworkState(state.k + 1, x2, y2)
+
+
+def _start(scenario: Scenario, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial (x, grad, y): trackers start at the (lambda_1-weighted) gradients."""
+    lam = scenario.lam
+    if mode == "wgt" and lam is None:
+        raise ConfigError("weighted tracking needs a gradient-weight schedule")
+    x = scenario.initial_x()
+    g = scenario.ensemble.gradients(x)
+    y = (lam.value(1) * g) if mode == "wgt" else g.copy()
+    return x, g, y
 
 
 def run(
@@ -424,43 +396,24 @@ def run(
         raise ValueError(f"mode {mode!r} not in {MODES}")
     if K < 0:
         raise ValueError(f"iteration count must be >= 0, got {K}")
-    lam = scenario.lam
-    if mode == "wgt" and lam is None:
-        raise ConfigError("weighted tracking needs a gradient-weight schedule")
     if mode == "ab" and not scenario.steps.is_homogeneous:
         raise ConfigError("baseline tracking uses one common constant step size")
+    x, g, y = _start(scenario, mode)
+    lam = scenario.lam
     ens = scenario.ensemble
     ws = scenario.weights
     n, p = ens.n, ens.p
-    src, dst = _edge_arrays(scenario.graph)
-    E = src.size
+    src, dst = scenario.graph.edge_index_arrays()
     alphas = scenario.steps.values
-
-    x = scenario.initial_x()
-    g = ens.gradients(x)
-    y = (lam.value(1) * g) if mode == "wgt" else g.copy()
     x_star = ens.global_optimum()
 
-    if ws.mode == "static":
-        phi = phi_static(ws.matrices_at(1)[0])
-        weighting = "phi"
-    else:
-        phi = None
-        weighting = "uniform"
+    phi = phi_static(ws.matrices_at(1)[0]) if ws.mode == "static" else None
+    weighting = "uniform" if phi is None else "phi"
 
-    ks = np.arange(1, K + 2)
-    residuals = np.empty(K + 1)
-    consensus = np.empty(K + 1)
-    tracking = np.empty(K + 1)
-    lambdas = np.empty(K + 1)
-    conservation = np.empty(K + 1)
-    grad_norms = np.empty(K + 1)
+    metrics = np.empty((K + 1, len(METRIC_COLUMNS)))
     pis = np.empty((K + 1, n))
-
-    x_msgs = np.empty((K, E, p)) if record_transcript else None
-    y_msgs = np.empty((K, E, p)) if record_transcript else None
-    xs = np.empty((K + 1, n, p)) if record_states else None
-    ys = np.empty((K + 1, n, p)) if record_states else None
+    x_msgs, y_msgs = np.empty((2, K, src.size, p)) if record_transcript else (None, None)
+    xs, ys = np.empty((2, K + 1, n, p)) if record_states else (None, None)
 
     pi = np.full(n, 1.0 / n)
     init_dist = float(np.linalg.norm(x - x_star) ** 2)
@@ -470,16 +423,11 @@ def run(
         res = float(np.linalg.norm(x - x_star) ** 2) / norm_by
         mv = monitor.metric_vector(NetworkState(k, x, y), x_star, phi, pi)
         w = lam.value(k) if mode == "wgt" else 1.0
-        residuals[t] = res
-        consensus[t] = mv.s2
-        tracking[t] = mv.s3
-        lambdas[t] = w
-        conservation[t] = float(np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0)))
-        grad_norms[t] = float(np.linalg.norm(g))
+        conservation = float(np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0)))
+        metrics[t] = (res, mv.s2, mv.s3, w, conservation, float(np.linalg.norm(g)))
         pis[t] = pi
         if record_states:
-            xs[t] = x
-            ys[t] = y
+            xs[t], ys[t] = x, y
         return res
 
     K_run = K
@@ -498,23 +446,7 @@ def run(
             K_run = k
             break
 
-    if K_run < K:
-        rows = K_run + 1
-        ks = ks[:rows]
-        residuals = residuals[:rows]
-        consensus = consensus[:rows]
-        tracking = tracking[:rows]
-        lambdas = lambdas[:rows]
-        conservation = conservation[:rows]
-        grad_norms = grad_norms[:rows]
-        pis = pis[:rows]
-        if record_transcript:
-            x_msgs = x_msgs[:K_run]
-            y_msgs = y_msgs[:K_run]
-        if record_states:
-            xs = xs[:rows]
-            ys = ys[:rows]
-
+    rows = slice(K_run + 1)  # an early stop keeps the visited rows only
     report = RunReport(
         mode=mode,
         K=K_run,
@@ -522,15 +454,9 @@ def run(
         p=p,
         xbar_weighting=weighting,
         threshold=residual_threshold,
-        ks=ks,
-        residuals=residuals,
-        consensus_errors=consensus,
-        tracking_errors=tracking,
-        lambdas=lambdas,
-        conservation_residuals=conservation,
-        grad_norms=grad_norms,
+        metrics=metrics[rows],
         x_star=x_star,
-        pis=pis,
+        pis=pis[rows],
         final_state=NetworkState(K_run + 1, x, y),
         info={
             "mode": mode,
@@ -538,16 +464,14 @@ def run(
             "p": p,
             "weight_mode": ws.mode,
             "alpha": [float(a) for a in alphas],
-            "lambda": lam.describe() if (mode == "wgt" and lam is not None) else "1 (constant)",
+            "lambda": lam.describe() if mode == "wgt" else "1 (constant)",
             "init_seed": scenario.init_seed,
         },
-        states=(xs, ys) if record_states else None,
+        states=(xs[rows], ys[rows]) if record_states else None,
     )
     transcript = None
     if record_transcript:
-        transcript = Transcript(
-            mode=mode, n=n, p=p, edges=scenario.graph.edges, x_msgs=x_msgs, y_msgs=y_msgs
-        )
+        transcript = Transcript(mode, n, p, scenario.graph.edges, x_msgs[:K_run], y_msgs[:K_run])
     return report, transcript
 
 
@@ -563,25 +487,18 @@ def replay(scenario: Scenario, mode: str, transcript: Transcript) -> tuple[np.nd
         raise ValueError(f"transcript was recorded in mode {transcript.mode!r}")
     if transcript.edges != scenario.graph.edges:
         raise ValueError("transcript edges do not match the scenario graph")
-    ens = scenario.ensemble
-    lam = scenario.lam
-    if mode == "wgt" and lam is None:
-        raise ConfigError("weighted tracking needs a gradient-weight schedule")
-    src, dst = _edge_arrays(scenario.graph)
+    x, g, y = _start(scenario, mode)
+    src, dst = scenario.graph.edge_index_arrays()
     K = transcript.K
-    n, p = ens.n, ens.p
-    xs = np.empty((K + 1, n, p))
-    ys = np.empty((K + 1, n, p))
-    x = scenario.initial_x()
-    g = ens.gradients(x)
-    y = (lam.value(1) * g) if mode == "wgt" else g.copy()
+    xs = np.empty((K + 1,) + x.shape)
+    ys = np.empty((K + 1,) + y.shape)
     xs[0], ys[0] = x, y
     alphas = scenario.steps.values
     for k in range(1, K + 1):
         A, B = scenario.weights.matrices_at(k)
-        x, y, g = _replay_step(
-            mode, x, y, g, A, B, src, dst, alphas, lam, k, ens,
-            transcript.x_msgs[k - 1], transcript.y_msgs[k - 1],
+        msgs = (transcript.x_msgs[k - 1], transcript.y_msgs[k - 1])
+        x, y, g, _, _ = _step(
+            mode, x, y, g, A, B, src, dst, alphas, scenario.lam, k, scenario.ensemble, msgs
         )
         xs[k], ys[k] = x, y
     return xs, ys

@@ -5,7 +5,9 @@ import json
 import pytest
 import yaml
 
+from wgtsim import cli
 from wgtsim.cli import CSV_HEADER, SWEEP_CSV_HEADER, load_config, main, resolve
+from wgtsim.errors import NumericalError
 
 
 def write_config(path, **sections):
@@ -185,9 +187,9 @@ class TestValidate:
 
 
 class TestConfigErrors:
-    def run_expecting_2(self, tmp_path, capsys, **sections):
+    def run_expecting_2(self, tmp_path, capsys, *flags, command="validate", **sections):
         cfg = write_config(tmp_path / "bad.yaml", **sections)
-        assert main(["validate", cfg]) == 2
+        assert main([command, cfg, *flags]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -270,6 +272,74 @@ class TestConfigErrors:
             tmp_path, capsys, **base,
             algorithm={"mode": "ab", "alpha": 1e-4, "K": 0},
         )
+
+    def test_non_finite_and_mistyped_numbers(self, tmp_path, capsys):
+        base = dict(graph={"preset": "sensor-6"}, objective={"seed": 0})
+        algo = {"mode": "wgt", "alpha": 0.1, "lambda": {"e": 0.8, "m": 10.0}, "K": 5}
+        for bad in (float("nan"), float("inf"), True):
+            self.run_expecting_2(tmp_path, capsys, **base, algorithm={**algo, "alpha": bad})
+        self.run_expecting_2(
+            tmp_path, capsys, **base,
+            algorithm={**algo, "lambda": {"e": 0.8, "m": float("nan")}},
+        )
+        for report in (
+            {"divergence_cap": float("nan")},
+            {"divergence_cap": float("inf")},
+            {"record_transcript": "no"},
+            {"admissibility": "no"},
+        ):
+            self.run_expecting_2(tmp_path, capsys, **base, algorithm=algo, report=report)
+        self.run_expecting_2(tmp_path, capsys, "--threshold", "nan", **base, algorithm=algo)
+        for grid in ([0.1, float("nan")], 0.1):
+            self.run_expecting_2(
+                tmp_path, capsys, command="sweep", **base, algorithm=algo,
+                sweep={"seeds": [0], "alpha": {"grid": grid}},
+            )
+
+    def test_out_of_range_counts_and_agent_ids(self, tmp_path, capsys):
+        base = dict(graph={"preset": "sensor-6"}, objective={"seed": 0})
+        algo = {"mode": "ab", "alpha": 5e-4, "K": 5}
+        for attack, flags in (({"target": 7}, ()), ({}, ("--target", "0")), ({"window": 0}, ())):
+            self.run_expecting_2(
+                tmp_path, capsys, *flags, command="attack", **base, algorithm=algo, attack=attack
+            )
+        self.run_expecting_2(tmp_path, capsys, command="audit", **base, algorithm=algo, audit={"K": 0})
+        self.run_expecting_2(
+            tmp_path, capsys, command="audit", **base, algorithm=algo,
+            audit={"honest": 2, "attacker": 2},
+        )
+        self.run_expecting_2(
+            tmp_path, capsys, **base, algorithm=algo, report={"admissibility_horizon": 0}
+        )
+        for dims in ({"d": 0}, {"p": 0}):
+            self.run_expecting_2(
+                tmp_path, capsys, graph={"preset": "sensor-6"}, objective=dims, algorithm=algo
+            )
+        for edges in ([[1, 2], [2, 3], [3, 1], [2, 2]], [[1, 2], [2, 3], [3, 1], [1, 2]],
+                      [[1, 2], [2, 3], [3, 4]]):
+            self.run_expecting_2(
+                tmp_path, capsys, graph={"n": 3, "edges": edges}, objective={"n": 3},
+                algorithm=algo,
+            )
+        self.run_expecting_2(
+            tmp_path, capsys, graph={"preset": "ring-1"}, objective={"n": 1}, algorithm=algo
+        )
+
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(cli, "run", broken)
+        with pytest.raises(ValueError, match="library bug"):
+            main(["run", flagship_config(tmp_path, tmp_path / "out")])
+
+    def test_numerical_error_exits_5(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NumericalError("solver did not converge")
+
+        monkeypatch.setattr(cli, "run", failing)
+        assert main(["run", flagship_config(tmp_path, tmp_path / "out")]) == 5
+        assert "numerical error: solver did not converge" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/nowhere.yaml"]) == 2

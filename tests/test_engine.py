@@ -50,7 +50,6 @@ class TestLambdaSchedules:
         assert lam.sum_diverges
         assert not LambdaSchedule(e=1.4).sum_diverges
         assert LambdaSchedule(e=1.0).sum_diverges
-        assert lam.decays
 
     def test_nonincreasing(self):
         lam = LambdaSchedule(e=0.5, m=0.0)
@@ -61,7 +60,6 @@ class TestLambdaSchedules:
         lam = ConstantLambda(0.3)
         assert lam.value(1) == lam.value(999) == 0.3
         assert lam.sum_diverges
-        assert not lam.decays
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -70,6 +68,12 @@ class TestLambdaSchedules:
             LambdaSchedule(e=0.5, m=-1.0)
         with pytest.raises(ValueError):
             ConstantLambda(0.0)
+        for e, m in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, np.inf)):
+            with pytest.raises(ValueError):
+                LambdaSchedule(e=e, m=m)
+        for c in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ConstantLambda(c)
 
 
 class TestStepSizes:
@@ -88,6 +92,13 @@ class TestStepSizes:
             StepSizes(np.array([0.1, 0.0]))
         with pytest.raises(ValueError):
             StepSizes(np.array([-0.1]))
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                StepSizes(np.array([0.1, bad]))
+            with pytest.raises(ValueError):
+                StepSizes.homogeneous(bad, 3)
 
 
 class TestSingleAgentHandCases:
@@ -176,14 +187,26 @@ class TestRunLoop:
             assert report.residuals[t] == pytest.approx(direct, rel=1e-12)
 
     def test_stop_when_below_truncates_consistently(self):
-        full, _ = run(flagship_scenario(), "wgt", 300, record_transcript=False)
-        short, tr = run(flagship_scenario(), "wgt", 300, stop_when_below=1e-6)
+        full, _ = run(flagship_scenario(), "wgt", 300, record_transcript=False, record_states=True)
+        short, tr = run(flagship_scenario(), "wgt", 300, stop_when_below=1e-6, record_states=True)
         assert short.K == full.iterations_to_threshold() - 1
-        assert short.residuals.shape == (short.K + 1,)
         assert tr.K == short.K
         assert short.residuals[-1] <= 1e-6
         assert (short.residuals[:-1] > 1e-6).all()
-        assert np.array_equal(short.residuals, full.residuals[: short.K + 1])
+        columns = (
+            "residuals", "consensus_errors", "tracking_errors",
+            "lambdas", "conservation_residuals", "grad_norms",
+        )
+
+        def per_row(report):
+            return [report.ks, report.pis, *report.states] + [getattr(report, c) for c in columns]
+
+        for got, ref in zip(per_row(short), per_row(full), strict=True):
+            assert got.shape[0] == short.K + 1
+            assert np.array_equal(got, ref[: short.K + 1])
+        xs, ys = replay(flagship_scenario(), "wgt", tr)
+        assert np.array_equal(xs, short.states[0])
+        assert np.array_equal(ys, short.states[1])
 
     def test_divergence_guard(self):
         # Baseline tracking blows up at alpha = 0.01 on this ensemble.
