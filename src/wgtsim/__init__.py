@@ -25,10 +25,8 @@ from .engine import (
     Scenario,
     StepSizes,
     Transcript,
-    ab_step,
     replay,
     run,
-    wgt_step,
 )
 from .errors import ConfigError, DivergenceError, NumericalError
 from .graph import DirectedGraph, directed_ring, sensor_network_6
@@ -45,7 +43,7 @@ from .monitor import (
     spectral_radius,
 )
 from .objective import ObjectiveEnsemble, QuadraticObjective, make_sensor_scenario
-from .weights import StochasticVectorPair, WeightSchedule, contraction_radii, phi_static
+from .weights import WeightSchedule, contraction_radii, phi_static
 
 __version__ = "0.1.0"
 
@@ -64,10 +62,8 @@ __all__ = [
     "Scenario",
     "StepSizes",
     "Transcript",
-    "ab_step",
     "replay",
     "run",
-    "wgt_step",
     "ConfigError",
     "DivergenceError",
     "NumericalError",
@@ -87,7 +83,6 @@ __all__ = [
     "QuadraticObjective",
     "ObjectiveEnsemble",
     "make_sensor_scenario",
-    "StochasticVectorPair",
     "WeightSchedule",
     "contraction_radii",
     "phi_static",

@@ -42,10 +42,9 @@ def z_stream(transcript: Transcript, i: int) -> np.ndarray:
     """
     if transcript.K < 1:
         raise ValueError("transcript is empty; nothing to observe")
-    out_idx = transcript.out_edge_indices(i)
-    in_idx = transcript.in_edge_indices(i)
-    sent = transcript.y_msgs[:, out_idx, :].sum(axis=1)
-    received = transcript.y_msgs[:, in_idx, :].sum(axis=1)
+    graph = transcript.graph
+    sent = transcript.y_msgs[:, graph.out_edge_indices(i), :].sum(axis=1)
+    received = transcript.y_msgs[:, graph.in_edge_indices(i), :].sum(axis=1)
     return sent - received
 
 
@@ -197,20 +196,19 @@ class TwoAgentObservations:
             raise ValueError("honest agent and attacker must differ")
         if transcript.K < 1:
             raise ValueError("transcript is empty; nothing to observe")
-        edges = transcript.edges
-        try:
-            idx_ha = edges.index((honest, attacker))
-            idx_ah = edges.index((attacker, honest))
-        except ValueError:
+        graph = transcript.graph
+        src, dst = graph.edge_index_arrays()
+        out_idx, in_idx = graph.out_edge_indices(honest), graph.in_edge_indices(honest)
+        if attacker - 1 not in dst[out_idx] or attacker - 1 not in src[in_idx]:
             raise ValueError(
                 f"transcript has no bidirectional channel between {honest} and {attacker}"
-            ) from None
-        touching = [e for e, (a, b) in enumerate(edges) if honest in (a, b)]
-        if set(touching) != {idx_ha, idx_ah}:
+            )
+        if out_idx.size + in_idx.size != 2:
             raise ValueError(
                 f"agent {honest} has channels beyond agent {attacker}; "
                 "the worst-case reduction needs the attacker to cover its whole neighborhood"
             )
+        (idx_ha,), (idx_ah,) = out_idx, in_idx
         return cls(
             honest=honest,
             attacker=attacker,

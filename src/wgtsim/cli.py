@@ -30,7 +30,7 @@ from .adversary import (
     audit_state_system,
     infer_gradient,
 )
-from .engine import LambdaSchedule, Scenario, StepSizes, replay, run
+from .engine import LambdaSchedule, Scenario, StepSizes, check_steps, replay, run
 from .errors import ConfigError, DivergenceError, NumericalError
 from .graph import DirectedGraph, directed_ring, sensor_network_6
 from .monitor import admissibility_report
@@ -115,10 +115,10 @@ def _as_bool(value, where: str) -> bool:
     return value
 
 
-def _check_law(alphas: list[float], lam: dict | None, where: str) -> None:
+def _check_law(mode: str, alphas: list[float], lam: dict | None, where: str) -> None:
     """Check step sizes and the gradient-weight schedule by the engine's rules."""
     try:
-        StepSizes(np.array(alphas))
+        check_steps(mode, StepSizes(np.array(alphas)))
         if lam is not None:
             LambdaSchedule(lam["e"], lam["m"])
     except ValueError as exc:
@@ -207,7 +207,7 @@ def resolve(cfg: dict, overrides: argparse.Namespace | None = None) -> dict:
         e = _as_float(lsec.get("e", 0.0), "algorithm.lambda.e")
         m = _as_float(lsec.get("m", 0.0), "algorithm.lambda.m")
         lam = {"e": e, "m": m}
-    _check_law(alpha_values, lam, "algorithm")
+    _check_law(mode, alpha_values, lam, "algorithm")
     K = _as_int(asec.get("K", 1), "algorithm.K", lo=1)
     r = _as_float(osec.get("r", 0.01), "objective.r")
     if r < 0:
@@ -363,12 +363,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell(resolved_base: dict, kind: str, alpha: float, e: float, m: float, seed: int, K: int) -> dict:
-    resolved = json.loads(json.dumps(resolved_base))  # deep copy
-    resolved["algorithm"]["alpha"] = [alpha] * resolved["graph"]["n"]
-    resolved["algorithm"]["lambda"] = {"e": e, "m": m}
-    resolved["algorithm"]["K"] = K
-    resolved["objective"]["seed"] = seed
-    resolved["algorithm"]["init_seed"] = seed
+    # fresh objective and algorithm sections; the other sections are shared
+    algorithm = {**resolved_base["algorithm"], "alpha": [alpha] * resolved_base["graph"]["n"],
+                 "lambda": {"e": e, "m": m}, "K": K, "init_seed": seed}
+    objective = {**resolved_base["objective"], "seed": seed}
+    resolved = {**resolved_base, "objective": objective, "algorithm": algorithm}
     cell = {
         "kind": kind,
         "alpha": alpha,
@@ -448,7 +447,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = [("alpha", a, alpha_fixed_e, alpha_fixed_m) for a in alphas]
     params += [("e", e_fixed_alpha, e, e_fixed_m) for e in es]
     for kind, a, e, m in params:
-        _check_law([a], {"e": e, "m": m}, f"sweep.{kind}")
+        _check_law("wgt", [a], {"e": e, "m": m}, f"sweep.{kind}")
 
     cells = [_sweep_cell(resolved, *cell, seed, K) for seed in seeds for cell in params]
 
@@ -498,13 +497,9 @@ def _numeric_audits(scenario: Scenario, mode: str, transcript, honest: int, atta
     K_audit = min(K_audit, obs.K)
     xs, ys = replay(scenario, mode, transcript)
     hi = honest - 1
-    A, _ = scenario.weights.matrices_at(1)
-    if scenario.weights.mode == "static":
-        a_weights = np.full(K_audit - 1, A[hi, attacker - 1])
-    else:
-        a_weights = np.array(
-            [scenario.weights.matrices_at(k)[0][hi, attacker - 1] for k in range(1, K_audit)]
-        )
+    a_weights = np.array(
+        [scenario.weights.matrices_at(k)[0][hi, attacker - 1] for k in range(1, K_audit)]
+    )
     state_truth = (xs[1:K_audit, hi, :], a_weights)
     state = audit_state_system(K_audit, obs.p, observations=obs, truth=state_truth)
 
@@ -550,10 +545,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         window=window,
     )
     p = resolved["objective"]["p"]
-    audit_K = min(10, transcript.K) if transcript.K >= 2 else 2
+    audit_K = max(2, min(10, transcript.K))
     audits = {
-        "state_structural": audit_state_system(max(audit_K, 2), p).to_dict(),
-        "gradient_structural": audit_gradient_system(max(audit_K, 1), p).to_dict(),
+        "state_structural": audit_state_system(audit_K, p).to_dict(),
+        "gradient_structural": audit_gradient_system(audit_K, p).to_dict(),
     }
     if n == 2 and report.mode == "wgt" and transcript.K >= 2:
         other = 2 if target == 1 else 1

@@ -40,8 +40,7 @@ __all__ = [
     "Transcript",
     "Scenario",
     "RunReport",
-    "ab_step",
-    "wgt_step",
+    "check_steps",
     "run",
     "replay",
 ]
@@ -130,6 +129,12 @@ class StepSizes:
         return bool(np.all(self.values == self.values[0]))
 
 
+def check_steps(mode: str, steps: StepSizes) -> None:
+    """Raise ConfigError if the update law cannot use these step sizes."""
+    if mode == "ab" and not steps.is_homogeneous:
+        raise ConfigError("baseline tracking uses one common constant step size")
+
+
 @dataclass
 class NetworkState:
     """Stacked agent states at iteration k: row i of x / y belongs to agent i+1."""
@@ -144,33 +149,21 @@ class Transcript:
     """Everything that crossed a channel during a run.
 
     For iteration k (1-based) and edge index e, x_msgs[k-1, e] is the
-    x-channel payload sent along edges[e] and y_msgs[k-1, e] the tracker
-    payload, already scaled by the sender's column weight. Self-weighted
-    tracker terms never appear because they never leave the agent.
+    x-channel payload sent along graph.edges[e] and y_msgs[k-1, e] the
+    tracker payload, already scaled by the sender's column weight.
+    Self-weighted tracker terms never appear because they never leave the
+    agent. The graph answers which channels touch an agent.
     """
 
     mode: str
-    n: int
+    graph: DirectedGraph
     p: int
-    edges: tuple[tuple[int, int], ...]
     x_msgs: np.ndarray  # (K, E, p)
     y_msgs: np.ndarray  # (K, E, p)
 
     @property
     def K(self) -> int:
         return self.x_msgs.shape[0]
-
-    def out_edge_indices(self, i: int) -> np.ndarray:
-        self._check_agent(i)
-        return np.array([e for e, (a, b) in enumerate(self.edges) if a == i], dtype=np.intp)
-
-    def in_edge_indices(self, i: int) -> np.ndarray:
-        self._check_agent(i)
-        return np.array([e for e, (a, b) in enumerate(self.edges) if b == i], dtype=np.intp)
-
-    def _check_agent(self, i: int) -> None:
-        if not (1 <= i <= self.n):
-            raise ValueError(f"agent id {i} outside 1..{self.n}")
 
 
 @dataclass
@@ -265,15 +258,6 @@ class RunReport:
         }
 
 
-def _edges_from_matrix(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Recover canonical (src, dst) edge arrays from B's off-diagonal pattern."""
-    rows, cols = np.nonzero(B)
-    pairs = sorted((int(c), int(r)) for r, c in zip(rows, cols) if r != c)
-    src = np.array([a for a, b in pairs], dtype=np.intp)
-    dst = np.array([b for a, b in pairs], dtype=np.intp)
-    return src, dst
-
-
 def _step(
     mode: str,
     x: np.ndarray,
@@ -309,57 +293,13 @@ def _step(
     np.add.at(y_mix, dst, y_msgs)
     g_next = ensemble.gradients(x_next)
     if mode == "wgt":
-        y_next = y_mix + lam.value(k + 1) * g_next - lam.value(k) * g_prev
+        lam_prev, lam_next = lam.value(k), lam.value(k + 1)
+        if lam_next > lam_prev:
+            raise ValueError("gradient-weight schedule must be nonincreasing")
+        y_next = y_mix + lam_next * g_next - lam_prev * g_prev
     else:
         y_next = y_mix + g_next - g_prev
     return x_next, y_next, g_next, x_msgs, y_msgs
-
-
-def ab_step(
-    state: NetworkState,
-    A_k: np.ndarray,
-    B_k: np.ndarray,
-    alpha: float,
-    ensemble: ObjectiveEnsemble,
-) -> NetworkState:
-    """One baseline-tracking iteration with a common constant step size.
-
-    The channel structure is inferred from B_k's off-diagonal pattern.
-    """
-    if not np.isscalar(alpha) and np.asarray(alpha).ndim != 0:
-        raise ValueError("baseline tracking uses one common scalar step size")
-    src, dst = _edges_from_matrix(B_k)
-    alphas = np.full(state.x.shape[0], float(alpha))
-    g_prev = ensemble.gradients(state.x)
-    x2, y2, _, _, _ = _step(
-        "ab", state.x, state.y, g_prev, A_k, B_k, src, dst, alphas, None, state.k, ensemble
-    )
-    return NetworkState(state.k + 1, x2, y2)
-
-
-def wgt_step(
-    state: NetworkState,
-    A_k: np.ndarray,
-    B_k: np.ndarray,
-    steps,
-    lam,
-    ensemble: ObjectiveEnsemble,
-) -> NetworkState:
-    """One weighted-tracking iteration with per-agent step sizes.
-
-    steps is a StepSizes, one step for all agents, or one per agent. lam
-    must expose value(k); the gradient increment uses lam at k and k+1,
-    and a schedule that increases between the two is rejected.
-    """
-    if lam.value(state.k + 1) > lam.value(state.k):
-        raise ValueError("gradient-weight schedule must be nonincreasing")
-    src, dst = _edges_from_matrix(B_k)
-    alphas = StepSizes(np.broadcast_to(getattr(steps, "values", steps), state.x.shape[0])).values
-    g_prev = ensemble.gradients(state.x)
-    x2, y2, _, _, _ = _step(
-        "wgt", state.x, state.y, g_prev, A_k, B_k, src, dst, alphas, lam, state.k, ensemble
-    )
-    return NetworkState(state.k + 1, x2, y2)
 
 
 def _start(scenario: Scenario, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,8 +336,7 @@ def run(
         raise ValueError(f"mode {mode!r} not in {MODES}")
     if K < 0:
         raise ValueError(f"iteration count must be >= 0, got {K}")
-    if mode == "ab" and not scenario.steps.is_homogeneous:
-        raise ConfigError("baseline tracking uses one common constant step size")
+    check_steps(mode, scenario.steps)
     x, g, y = _start(scenario, mode)
     lam = scenario.lam
     ens = scenario.ensemble
@@ -471,7 +410,7 @@ def run(
     )
     transcript = None
     if record_transcript:
-        transcript = Transcript(mode, n, p, scenario.graph.edges, x_msgs[:K_run], y_msgs[:K_run])
+        transcript = Transcript(mode, scenario.graph, p, x_msgs[:K_run], y_msgs[:K_run])
     return report, transcript
 
 
@@ -485,8 +424,8 @@ def replay(scenario: Scenario, mode: str, transcript: Transcript) -> tuple[np.nd
     """
     if transcript.mode != mode:
         raise ValueError(f"transcript was recorded in mode {transcript.mode!r}")
-    if transcript.edges != scenario.graph.edges:
-        raise ValueError("transcript edges do not match the scenario graph")
+    if transcript.graph != scenario.graph:
+        raise ValueError("transcript was recorded over a different graph")
     x, g, y = _start(scenario, mode)
     src, dst = scenario.graph.edge_index_arrays()
     K = transcript.K

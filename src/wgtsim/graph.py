@@ -8,6 +8,7 @@ so the check lives here and is cheap enough to run at validation time.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +20,42 @@ __all__ = [
 ]
 
 
+def _grouped(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged integer groups as read-only (flat, ptr): group i is flat[ptr[i]:ptr[i + 1]]."""
+    flat = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp)
+    ptr = np.array([0, *itertools.accumulate(map(len, groups))], dtype=np.intp)
+    flat.setflags(write=False)
+    ptr.setflags(write=False)
+    return flat, ptr
+
+
+def _derived():
+    """A field set once in __post_init__ and kept out of ==, hash and repr."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Simple directed graph on agents 1..n without self-loops."""
+    """Simple directed graph on agents 1..n without self-loops.
+
+    Construction puts the edges in canonical order and derives, in one pass,
+    every adjacency question downstream code asks: the edge (channel)
+    indices entering and leaving each agent, and the 0-based supports of
+    the weight matrices, each stored as a (flat, ptr) pair in which agent
+    i+1's group is flat[ptr[i]:ptr[i + 1]]. in_supports groups each agent's
+    in-neighbors plus itself, sorted: the support of row i of a
+    row-stochastic A. out_supports groups its out-neighbors plus itself:
+    the support of column i of a column-stochastic B.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    in_supports: tuple[np.ndarray, np.ndarray] = _derived()
+    out_supports: tuple[np.ndarray, np.ndarray] = _derived()
+    _in_edges: tuple[np.ndarray, np.ndarray] = _derived()
+    _out_edges: tuple[np.ndarray, np.ndarray] = _derived()
+    _src: np.ndarray = _derived()
+    _dst: np.ndarray = _derived()
 
     def __post_init__(self):
         if self.n < 1:
@@ -42,7 +73,29 @@ class DirectedGraph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add((i, j))
         # canonical order: transcripts and weight builders index edges by it
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        edges = tuple(sorted(seen))
+        ins = [[i] for i in range(self.n)]
+        outs = [[i] for i in range(self.n)]
+        in_edges = [[] for _ in range(self.n)]
+        out_edges = [[] for _ in range(self.n)]
+        for e, (a, b) in enumerate(edges):
+            outs[a - 1].append(b - 1)
+            out_edges[a - 1].append(e)
+            ins[b - 1].append(a - 1)
+            in_edges[b - 1].append(e)
+        src_dst = np.array([[a - 1 for a, _ in edges], [b - 1 for _, b in edges]], dtype=np.intp)
+        src_dst.setflags(write=False)
+        derived = {
+            "edges": edges,
+            "in_supports": _grouped([sorted(s) for s in ins]),
+            "out_supports": _grouped([sorted(s) for s in outs]),
+            "_in_edges": _grouped(in_edges),
+            "_out_edges": _grouped(out_edges),
+            "_src": src_dst[0],
+            "_dst": src_dst[1],
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def _check_agent(self, i: int) -> None:
         if not (1 <= i <= self.n):
@@ -50,13 +103,23 @@ class DirectedGraph:
 
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Agents that send to i (excluding i itself)."""
-        self._check_agent(i)
-        return frozenset(a for (a, b) in self.edges if b == i)
+        return frozenset((self._src[self.in_edge_indices(i)] + 1).tolist())
 
     def out_neighbors(self, i: int) -> frozenset[int]:
         """Agents that i sends to (excluding i itself)."""
+        return frozenset((self._dst[self.out_edge_indices(i)] + 1).tolist())
+
+    def in_edge_indices(self, i: int) -> np.ndarray:
+        """Indices into edges of the channels that end at agent i, ascending."""
         self._check_agent(i)
-        return frozenset(b for (a, b) in self.edges if a == i)
+        flat, ptr = self._in_edges
+        return flat[ptr[i - 1] : ptr[i]]
+
+    def out_edge_indices(self, i: int) -> np.ndarray:
+        """Indices into edges of the channels that start at agent i, ascending."""
+        self._check_agent(i)
+        flat, ptr = self._out_edges
+        return flat[ptr[i - 1] : ptr[i]]
 
     def is_strongly_connected(self) -> bool:
         """Every agent reaches every other along directed edges.
@@ -64,34 +127,19 @@ class DirectedGraph:
         Uses one forward and one backward reachability sweep from agent 1;
         both reaching all n agents is equivalent to strong connectivity.
         """
-        if self.n == 1:
-            return True
-        fwd: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        bwd: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for (a, b) in self.edges:
-            fwd[a].append(b)
-            bwd[b].append(a)
-        for adj in (fwd, bwd):
-            reached = {1}
-            stack = [1]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in reached:
-                        reached.add(v)
-                        stack.append(v)
+        for flat, ptr in (self.out_supports, self.in_supports):
+            reached, frontier = {0}, {0}
+            while frontier:
+                frontier = {v for u in frontier for v in flat[ptr[u] : ptr[u + 1]].tolist()}
+                frontier -= reached
+                reached |= frontier
             if len(reached) != self.n:
                 return False
         return True
 
     def edge_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(src, dst) as 0-based integer arrays in canonical edge order."""
-        if not self.edges:
-            z = np.zeros(0, dtype=np.intp)
-            return z, z.copy()
-        src = np.array([a - 1 for (a, b) in self.edges], dtype=np.intp)
-        dst = np.array([b - 1 for (a, b) in self.edges], dtype=np.intp)
-        return src, dst
+        """(src, dst) as read-only 0-based integer arrays in canonical edge order."""
+        return self._src, self._dst
 
 
 def directed_ring(n: int) -> DirectedGraph:

@@ -16,7 +16,7 @@ genuinely time dependent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .graph import DirectedGraph
 
 __all__ = [
     "WeightSchedule",
-    "StochasticVectorPair",
     "phi_static",
     "contraction_radii",
 ]
@@ -33,19 +32,15 @@ __all__ = [
 MODES = ("static", "time-varying")
 
 
-def _uniform_matrices(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+def _on_supports(graph: DirectedGraph, a_values: np.ndarray, b_values: np.ndarray):
+    """(A, B) with a_values laid row by row over A's supports, agent 1 first,
+    and b_values column by column over B's."""
     n = graph.n
+    (a_flat, a_ptr), (b_flat, b_ptr) = graph.in_supports, graph.out_supports
     A = np.zeros((n, n))
     B = np.zeros((n, n))
-    for i in range(1, n + 1):
-        row = sorted(graph.in_neighbors(i) | {i})
-        w = 1.0 / len(row)
-        for j in row:
-            A[i - 1, j - 1] = w
-        col = sorted(graph.out_neighbors(i) | {i})
-        w = 1.0 / len(col)
-        for l in col:
-            B[l - 1, i - 1] = w
+    A[np.repeat(np.arange(n), np.diff(a_ptr)), a_flat] = a_values
+    B[b_flat, np.repeat(np.arange(n), np.diff(b_ptr))] = b_values
     return A, B
 
 
@@ -78,18 +73,15 @@ class WeightSchedule:
             raise ConfigError("weight floors must be positive")
         if not self.graph.is_strongly_connected():
             raise ConfigError("weight schedule requires a strongly connected graph")
-        n = self.graph.n
-        max_in = max(len(self.graph.in_neighbors(i)) + 1 for i in range(1, n + 1))
-        max_out = max(len(self.graph.out_neighbors(i)) + 1 for i in range(1, n + 1))
-        if self.a_floor * max_in > 1.0:
-            raise ConfigError(
-                f"a_floor={self.a_floor} infeasible: some row has {max_in} entries"
-            )
-        if self.b_floor * max_out > 1.0:
-            raise ConfigError(
-                f"b_floor={self.b_floor} infeasible: some column has {max_out} entries"
-            )
-        A, B = _uniform_matrices(self.graph)
+        # support sizes per agent: A's rows, then B's columns
+        self._sizes = [np.diff(ptr) for _, ptr in (self.graph.in_supports, self.graph.out_supports)]
+        for name, floor, sizes, line in zip(
+            ("a_floor", "b_floor"), (self.a_floor, self.b_floor), self._sizes, ("row", "column")
+        ):
+            widest = int(sizes.max())
+            if floor * widest > 1.0:
+                raise ConfigError(f"{name}={floor} infeasible: some {line} has {widest} entries")
+        A, B = _on_supports(self.graph, *(np.repeat(1.0 / m, m) for m in self._sizes))
         A.setflags(write=False)
         B.setflags(write=False)
         self._uniform = (A, B)
@@ -103,16 +95,11 @@ class WeightSchedule:
         # fresh generator per (seed, k): repeat calls are bit-identical
         rng = np.random.default_rng([self.seed, k])
         UA, UB = self._uniform
-        n = self.graph.n
-        A = np.zeros((n, n))
-        B = np.zeros((n, n))
+        a_sizes, b_sizes = self._sizes
         # draw order: A rows for i=1..n, then B columns for i=1..n
-        for i in range(1, n + 1):
-            row = sorted(self.graph.in_neighbors(i) | {i})
-            A[i - 1, [j - 1 for j in row]] = _random_on_support(len(row), self.a_floor, rng)
-        for i in range(1, n + 1):
-            col = sorted(self.graph.out_neighbors(i) | {i})
-            B[[l - 1 for l in col], i - 1] = _random_on_support(len(col), self.b_floor, rng)
+        a_values = [_random_on_support(m, self.a_floor, rng) for m in a_sizes.tolist()]
+        b_values = [_random_on_support(m, self.b_floor, rng) for m in b_sizes.tolist()]
+        A, B = _on_supports(self.graph, np.concatenate(a_values), np.concatenate(b_values))
         A = 0.5 * (UA + A)
         B = 0.5 * (UB + B)
         A.setflags(write=False)
@@ -136,28 +123,6 @@ class WeightSchedule:
             pi = B @ pi
             out[k] = pi
         return out
-
-
-@dataclass(frozen=True)
-class StochasticVectorPair:
-    """The pair (phi_k, pi_k) attached to iteration k."""
-
-    phi: np.ndarray
-    pi: np.ndarray
-    k: int
-
-    def validate(self, a_floor: float, b_floor: float) -> None:
-        """Check stochasticity and the floor-derived entry lower bounds."""
-        n = self.phi.shape[0]
-        for name, v in (("phi", self.phi), ("pi", self.pi)):
-            if v.shape != (n,):
-                raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
-            if np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-12:
-                raise ValueError(f"{name} is not a stochastic vector")
-        if np.any(self.phi < a_floor**n / n - 1e-15):
-            raise ValueError("phi entry below its guaranteed lower bound")
-        if np.any(self.pi < b_floor**n / n - 1e-15):
-            raise ValueError("pi entry below its guaranteed lower bound")
 
 
 def phi_static(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:

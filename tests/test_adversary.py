@@ -79,9 +79,8 @@ class TestNetOutflow:
         y = rng.normal(size=(K, 1, p))
         transcript = Transcript(
             mode="wgt",
-            n=2,
+            graph=directed_ring(2),
             p=p,
-            edges=((1, 2), (2, 1)),
             x_msgs=np.zeros((K, 2, p)),
             y_msgs=np.concatenate([y, y], axis=1),
         )
@@ -97,9 +96,8 @@ class TestNetOutflow:
     def test_rejects_empty_transcript(self):
         transcript = Transcript(
             mode="wgt",
-            n=2,
+            graph=directed_ring(2),
             p=1,
-            edges=((1, 2), (2, 1)),
             x_msgs=np.zeros((0, 2, 1)),
             y_msgs=np.zeros((0, 2, 1)),
         )

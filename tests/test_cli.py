@@ -273,6 +273,18 @@ class TestConfigErrors:
             algorithm={"mode": "ab", "alpha": 1e-4, "K": 0},
         )
 
+    def test_baseline_needs_one_common_step(self, tmp_path, capsys):
+        # validate and run check the engine's rule at the same place
+        for command in ("validate", "run"):
+            self.run_expecting_2(
+                tmp_path, capsys, command=command,
+                graph={"preset": "sensor-6"},
+                objective={"seed": 0},
+                algorithm={"mode": "ab", "alpha": [1e-4, 2e-4, 1e-4, 1e-4, 1e-4, 1e-4], "K": 5},
+                report={"output_dir": str(tmp_path / "out")},
+            )
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_and_mistyped_numbers(self, tmp_path, capsys):
         base = dict(graph={"preset": "sensor-6"}, objective={"seed": 0})
         algo = {"mode": "wgt", "alpha": 0.1, "lambda": {"e": 0.8, "m": 10.0}, "K": 5}

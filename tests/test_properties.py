@@ -1,0 +1,150 @@
+"""Invariants on random strongly connected digraphs: a ring plus random chords.
+
+The graph's adjacency structure is checked against a brute-force scan of
+its edge list, the weight matrices against a reference builder that scans
+the edges once per agent, and the engine's run against replay and the
+tracker-mass identity.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wgtsim.engine import LambdaSchedule, Scenario, StepSizes, replay, run
+from wgtsim.graph import DirectedGraph
+from wgtsim.objective import make_sensor_scenario
+from wgtsim.weights import WeightSchedule
+
+# a support has at most n <= 30 entries, so these floors are always feasible
+A_FLOOR, B_FLOOR = 0.02, 0.03
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def ring_plus_chords(draw):
+    n = draw(st.integers(2, 30))
+    agent = st.integers(1, n)
+    chords = draw(st.lists(st.tuples(agent, agent), max_size=2 * n))
+    edges = {(i, i % n + 1) for i in range(1, n + 1)} | {(a, b) for a, b in chords if a != b}
+    return DirectedGraph(n, tuple(draw(st.permutations(sorted(edges)))))
+
+
+def group(flat_ptr, i):
+    """Agent i's (1-based) group of a (flat, ptr) layout, as a list."""
+    flat, ptr = flat_ptr
+    return flat[ptr[i - 1] : ptr[i]].tolist()
+
+
+def scanned_in(graph, i):
+    return {a for a, b in graph.edges if b == i}
+
+
+def scanned_out(graph, i):
+    return {b for a, b in graph.edges if a == i}
+
+
+def reference_matrices(graph, mode, seed, k):
+    """(A_k, B_k) from a per-agent scan of the edges; matrices_at must match it bit for bit."""
+    n = graph.n
+
+    def rows():
+        return [sorted(scanned_in(graph, i) | {i}) for i in range(1, n + 1)]
+
+    def cols():
+        return [sorted(scanned_out(graph, i) | {i}) for i in range(1, n + 1)]
+
+    UA, UB = np.zeros((n, n)), np.zeros((n, n))
+    for i, (row, col) in enumerate(zip(rows(), cols()), 1):
+        for j in row:
+            UA[i - 1, j - 1] = 1.0 / len(row)
+        for l in col:
+            UB[l - 1, i - 1] = 1.0 / len(col)
+    if mode == "static":
+        return UA, UB
+
+    rng = np.random.default_rng([seed, k])
+
+    def on_support(size, floor):
+        g = rng.uniform(size=size)
+        return floor + (1.0 - size * floor) * (g / g.sum())
+
+    A, B = np.zeros((n, n)), np.zeros((n, n))
+    for i, row in enumerate(rows(), 1):
+        A[i - 1, [j - 1 for j in row]] = on_support(len(row), A_FLOOR)
+    for i, col in enumerate(cols(), 1):
+        B[[l - 1 for l in col], i - 1] = on_support(len(col), B_FLOOR)
+    return 0.5 * (UA + A), 0.5 * (UB + B)
+
+
+@SETTINGS
+@given(ring_plus_chords())
+def test_adjacency_matches_an_edge_scan(graph):
+    assert graph.is_strongly_connected()
+    for i in range(1, graph.n + 1):
+        ins, outs = scanned_in(graph, i), scanned_out(graph, i)
+        assert graph.in_neighbors(i) == ins
+        assert graph.out_neighbors(i) == outs
+        assert group(graph.in_supports, i) == sorted(j - 1 for j in ins | {i})
+        assert group(graph.out_supports, i) == sorted(j - 1 for j in outs | {i})
+        assert [graph.edges[e] for e in graph.in_edge_indices(i)] == sorted((j, i) for j in ins)
+        assert [graph.edges[e] for e in graph.out_edge_indices(i)] == sorted((i, j) for j in outs)
+    src, dst = graph.edge_index_arrays()
+    assert list(zip((src + 1).tolist(), (dst + 1).tolist())) == list(graph.edges)
+
+
+@SETTINGS
+@given(ring_plus_chords(), st.data())
+def test_derived_adjacency_stays_out_of_identity(graph, data):
+    # equality, hashing and repr see only n and the canonical edge set
+    shuffled = DirectedGraph(graph.n, tuple(data.draw(st.permutations(graph.edges))))
+    assert shuffled == graph and hash(shuffled) == hash(graph)
+    assert repr(graph) == f"DirectedGraph(n={graph.n}, edges={graph.edges!r})"
+
+
+@SETTINGS
+@given(
+    ring_plus_chords(),
+    st.sampled_from(["static", "time-varying"]),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(1, 500), min_size=1, max_size=4),
+)
+def test_matrices_are_bit_identical_to_the_edge_scan_builder(graph, mode, seed, ks):
+    sched = WeightSchedule(graph, mode=mode, a_floor=A_FLOOR, b_floor=B_FLOOR, seed=seed)
+    for k in ks:
+        A, B = sched.matrices_at(k)
+        ref_A, ref_B = reference_matrices(graph, mode, seed, k)
+        assert A.tobytes() == ref_A.tobytes()
+        assert B.tobytes() == ref_B.tobytes()
+
+
+@SETTINGS
+@given(
+    ring_plus_chords(),
+    st.sampled_from(["ab", "wgt"]),
+    st.sampled_from(["static", "time-varying"]),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_replay_is_bit_exact_and_tracker_mass_is_conserved(graph, mode, weight_mode, p, seed, data):
+    n = graph.n
+    if mode == "ab":
+        steps = StepSizes.homogeneous(1e-4, n)
+    else:
+        steps = StepSizes(np.array(data.draw(st.lists(
+            st.floats(5e-5, 2e-4), min_size=n, max_size=n))))
+    weights = WeightSchedule(graph, mode=weight_mode, a_floor=A_FLOOR, b_floor=B_FLOOR, seed=seed)
+    scen = Scenario(
+        graph=graph,
+        weights=weights,
+        ensemble=make_sensor_scenario(n=n, d=3, p=p, seed=seed),
+        steps=steps,
+        lam=LambdaSchedule(e=0.8, m=10.0),
+        init_seed=seed,
+    )
+    report, tr = run(scen, mode, 15, record_states=True)
+    xs, ys = replay(scen, mode, tr)
+    assert xs.tobytes() == report.states[0].tobytes()
+    assert ys.tobytes() == report.states[1].tobytes()
+    assert (report.conservation_residuals <= 1e-9 * (1.0 + report.grad_norms)).all()

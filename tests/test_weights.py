@@ -5,12 +5,7 @@ import pytest
 
 from wgtsim.errors import ConfigError
 from wgtsim.graph import DirectedGraph, directed_ring, sensor_network_6
-from wgtsim.weights import (
-    StochasticVectorPair,
-    WeightSchedule,
-    contraction_radii,
-    phi_static,
-)
+from wgtsim.weights import WeightSchedule, contraction_radii, phi_static
 
 GRAPH = sensor_network_6()
 
@@ -172,18 +167,21 @@ class TestContractionRadii:
 
 class TestValidation:
     def test_vector_pair_validate_passes_for_canonical(self, static_pair):
+        # (phi, pi_k): stochastic vectors above the floor-derived lower bounds
         A, _ = static_pair
+        n = GRAPH.n
         phi = phi_static(A)
-        sched = WeightSchedule(GRAPH, mode="static")
-        pi = sched.pi_sequence(500)[-1]
-        pair = StochasticVectorPair(phi=phi, pi=pi, k=500)
-        pair.validate(a_floor=0.1, b_floor=0.1)
+        pi = WeightSchedule(GRAPH, mode="static").pi_sequence(500)[-1]
+        for v, floor in ((phi, 0.1), (pi, 0.1)):
+            assert v.shape == (n,)
+            assert np.all(v >= 0.0) and abs(v.sum() - 1.0) <= 1e-12
+            assert np.all(v >= floor**n / n - 1e-15)
 
     def test_vector_pair_validate_rejects_negative(self):
-        phi = np.array([0.5, 0.6, -0.1])
-        pi = np.full(3, 1 / 3)
-        with pytest.raises(ValueError):
-            StochasticVectorPair(phi=phi, pi=pi, k=1).validate(a_floor=0.1, b_floor=0.1)
+        # rows sum to 1 and the diagonal is positive; only the -0.1 is wrong
+        A = np.array([[0.5, 0.6, -0.1], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.5, 0.5]])
+        with pytest.raises(ValueError, match="row-stochastic"):
+            phi_static(A)
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
