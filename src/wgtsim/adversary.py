@@ -14,6 +14,7 @@ Everything here is read-only over transcripts.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,17 +246,7 @@ class AuditReport:
     consistency_residual: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "K": self.K,
-            "p": self.p,
-            "equations": self.equations,
-            "unknowns": self.unknowns,
-            "rank": self.rank,
-            "nullity": self.nullity,
-            "method": self.method,
-            "consistency_residual": self.consistency_residual,
-        }
+        return dataclasses.asdict(self)
 
 
 def _state_system_matrices(
@@ -305,16 +296,8 @@ def audit_state_system(
     if observations is None:
         if truth is not None:
             raise ValueError("a consistency check needs observations")
-        return AuditReport(
-            system="state",
-            K=K,
-            p=p,
-            equations=equations,
-            unknowns=unknowns,
-            rank=equations,
-            nullity=unknowns - equations,
-            method="structural",
-        )
+        return AuditReport("state", K, p, equations, unknowns, equations, unknowns - equations,
+                           "structural")
     if observations.K < K or observations.p != p:
         raise ValueError(
             f"observations cover K={observations.K}, p={observations.p}; "
@@ -416,16 +399,8 @@ def audit_gradient_system(
     if observations is None:
         if truth is not None:
             raise ValueError("a consistency check needs observations")
-        return AuditReport(
-            system="gradient",
-            K=K,
-            p=p,
-            equations=equations,
-            unknowns=unknowns,
-            rank=equations,
-            nullity=unknowns - equations,
-            method="structural",
-        )
+        return AuditReport("gradient", K, p, equations, unknowns, equations, unknowns - equations,
+                           "structural")
     if lam is None:
         raise ValueError("numeric gradient audit needs the gradient-weight schedule")
     if observations.K < K or observations.p != p:

@@ -14,6 +14,7 @@ identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -307,17 +308,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _execute(resolved: dict, record_transcript: bool | None = None, stop_when_below: float | None = None):
+def _execute(resolved: dict, record_transcript: bool):
     scenario, mode, K, ropt = build_scenario(resolved)
-    record = ropt["record_transcript"] if record_transcript is None else record_transcript
     report, transcript = run(
         scenario,
         mode,
         K,
-        record_transcript=record,
+        record_transcript=record_transcript,
         residual_threshold=ropt["residual_threshold"],
         divergence_cap=ropt["divergence_cap"],
-        stop_when_below=stop_when_below,
     )
     return scenario, report, transcript
 
@@ -362,12 +361,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(resolved_base: dict, kind: str, alpha: float, e: float, m: float, seed: int, K: int) -> dict:
-    # fresh objective and algorithm sections; the other sections are shared
-    algorithm = {**resolved_base["algorithm"], "alpha": [alpha] * resolved_base["graph"]["n"],
-                 "lambda": {"e": e, "m": m}, "K": K, "init_seed": seed}
-    objective = {**resolved_base["objective"], "seed": seed}
-    resolved = {**resolved_base, "objective": objective, "algorithm": algorithm}
+def _sweep_cell(base: Scenario, resolved: dict, kind: str, alpha: float, e: float, m: float,
+                seed: int, K: int) -> dict:
+    # the cells share the graph and the weight schedule
+    o, threshold = resolved["objective"], resolved["report"]["residual_threshold"]
+    scenario = dataclasses.replace(
+        base,
+        ensemble=make_sensor_scenario(n=o["n"], d=o["d"], p=o["p"], r=o["r"], seed=seed),
+        steps=StepSizes.homogeneous(alpha, base.graph.n),
+        lam=LambdaSchedule(e, m),
+        init_seed=seed,
+    )
     cell = {
         "kind": kind,
         "alpha": alpha,
@@ -377,11 +381,8 @@ def _sweep_cell(resolved_base: dict, kind: str, alpha: float, e: float, m: float
         "init_seed": seed,
     }
     try:
-        _, report, _ = _execute(
-            resolved,
-            record_transcript=False,
-            stop_when_below=resolved["report"]["residual_threshold"],
-        )
+        report, _ = run(scenario, "wgt", K, record_transcript=False, residual_threshold=threshold,
+                        divergence_cap=resolved["report"]["divergence_cap"], stop_when_below=threshold)
     except DivergenceError as exc:
         cell.update(status="diverged", iterations_to_threshold=None, terminal_residual=None,
                     diverged_at=exc.k)
@@ -449,7 +450,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for kind, a, e, m in params:
         _check_law("wgt", [a], {"e": e, "m": m}, f"sweep.{kind}")
 
-    cells = [_sweep_cell(resolved, *cell, seed, K) for seed in seeds for cell in params]
+    base = build_scenario(resolved)[0]
+    cells = [_sweep_cell(base, resolved, *cell, seed, K) for seed in seeds for cell in params]
 
     alpha_cells = [c for c in cells if c["kind"] == "alpha"]
     e_cells = [c for c in cells if c["kind"] == "e"]

@@ -21,6 +21,7 @@ recorded trajectory bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +47,9 @@ __all__ = [
 ]
 
 MODES = ("ab", "wgt")
+
+# run(record_transcript=True) refuses runs whose messages would exceed this
+TRANSCRIPT_LIMIT_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -258,59 +262,83 @@ class RunReport:
         }
 
 
+def _plans(weights: WeightSchedule, src: np.ndarray, dst: np.ndarray):
+    """Yield (plan, B_k) for k = 1, 2, ...: the plan holds diag(A_k),
+    A_k[dst, src], diag(B_k) and B_k[dst, src] as column vectors, gathered
+    once for a static schedule and afresh per k for a time-varying one."""
+    n = weights.graph.n
+    rows, cols = np.r_[np.arange(n), dst], np.r_[np.arange(n), src]
+
+    def plan(k: int):
+        A, B = weights.matrices_at(k)
+        a, b = A[rows, cols][:, None], B[rows, cols][:, None]
+        return (a[:n], a[n:], b[:n], b[n:]), B
+
+    if weights.mode == "static":
+        return itertools.repeat(plan(1))
+    return map(plan, itertools.count(1))
+
+
 def _step(
-    mode: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    g_prev: np.ndarray,
-    A: np.ndarray,
-    B: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    alphas: np.ndarray,
-    lam,
-    k: int,
-    ensemble: ObjectiveEnsemble,
+    mode: str, x: np.ndarray, y: np.ndarray, g_prev: np.ndarray, plan: tuple, src: np.ndarray,
+    dst: np.ndarray, alphas: np.ndarray, lams: tuple[float, float], ensemble: ObjectiveEnsemble,
     msgs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """One synchronous iteration; returns new (x, y, grad) and the messages.
+    """One synchronous iteration; returns new x, y, grad and the messages.
 
-    msgs=None computes the (x_msgs, y_msgs) the senders put on the
-    channels; recorded messages (replay) are mixed in their place.
+    alphas is the (n, 1) step column and lams (lambda_k, lambda_k+1), which
+    only wgt reads. msgs=None computes the (x_msgs, y_msgs) the senders put
+    on the channels; recorded messages (replay) are mixed in their place.
     """
+    a_self, a_edge, b_self, b_edge = plan
     # wgt adapts before it combines: the x-channel carries x - alpha * y
-    sent = x - alphas[:, None] * y if mode == "wgt" else x
+    sent = x - alphas * y if mode == "wgt" else x
     if msgs is None:
-        msgs = sent[src], B[dst, src][:, None] * y[src]
+        msgs = sent[src], b_edge * y[src]
     x_msgs, y_msgs = msgs
     # np.add.at adds the per-edge terms one at a time in edge order, which
     # pins the floating-point summation order that bit-exact replay needs
-    x_next = np.diag(A)[:, None] * sent
-    np.add.at(x_next, dst, A[dst, src][:, None] * x_msgs)
+    x_next = a_self * sent
+    np.add.at(x_next, dst, a_edge * x_msgs)
     if mode == "ab":
         x_next -= alphas[0] * y
-    y_mix = np.diag(B)[:, None] * y
+    y_mix = b_self * y
     np.add.at(y_mix, dst, y_msgs)
     g_next = ensemble.gradients(x_next)
     if mode == "wgt":
-        lam_prev, lam_next = lam.value(k), lam.value(k + 1)
+        lam_prev, lam_next = lams
         if lam_next > lam_prev:
             raise ValueError("gradient-weight schedule must be nonincreasing")
         y_next = y_mix + lam_next * g_next - lam_prev * g_prev
     else:
         y_next = y_mix + g_next - g_prev
-    return x_next, y_next, g_next, x_msgs, y_msgs
+    return x_next, y_next, g_next, msgs
 
 
-def _start(scenario: Scenario, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial (x, grad, y): trackers start at the (lambda_1-weighted) gradients."""
+def _trajectory(scenario: Scenario, mode: str, K: int, transcript: Transcript | None = None):
+    """Yield (x, y, grad, lambda_k, msgs, B_k) at the start (msgs and B_k
+    None) and after each of K steps. Trackers start at the lambda_1-weighted
+    gradients; ab carries lambda = 1. Each lambda_k is evaluated once. A
+    transcript's messages are mixed in place of computed ones (replay)."""
     lam = scenario.lam
     if mode == "wgt" and lam is None:
         raise ConfigError("weighted tracking needs a gradient-weight schedule")
+    weight = lam.value if mode == "wgt" else lambda k: 1.0
     x = scenario.initial_x()
     g = scenario.ensemble.gradients(x)
-    y = (lam.value(1) * g) if mode == "wgt" else g.copy()
-    return x, g, y
+    w = weight(1)
+    y = (w * g) if mode == "wgt" else g.copy()
+    yield x, y, g, w, None, None
+    src, dst = scenario.graph.edge_index_arrays()
+    alphas = scenario.steps.values[:, None]
+    for k, (plan, B) in zip(range(1, K + 1), _plans(scenario.weights, src, dst)):
+        w_next = weight(k + 1)
+        msgs = None if transcript is None else (transcript.x_msgs[k - 1], transcript.y_msgs[k - 1])
+        x, y, g, msgs = _step(
+            mode, x, y, g, plan, src, dst, alphas, (w, w_next), scenario.ensemble, msgs
+        )
+        w = w_next
+        yield x, y, g, w, msgs, B
 
 
 def run(
@@ -327,23 +355,27 @@ def run(
     """Execute K synchronous iterations and collect per-iteration metrics.
 
     Returns (report, transcript); the transcript is None when recording is
-    disabled (long runs: messages cost K * E * 2 * p floats). The report has
-    one row per visited iterate including the initial state: K + 1 rows,
-    fewer if stop_when_below is set and the residual crosses it first. A
-    non-finite or cap-exceeding residual aborts with DivergenceError.
+    disabled (long runs: messages cost K * E * 2 * p floats; above
+    TRANSCRIPT_LIMIT_BYTES the run is refused with ConfigError). The report
+    has one row per visited iterate including the initial state: K + 1
+    rows, fewer if stop_when_below is set and the residual crosses it
+    first. A non-finite or cap-exceeding residual aborts with
+    DivergenceError.
     """
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
     if K < 0:
         raise ValueError(f"iteration count must be >= 0, got {K}")
     check_steps(mode, scenario.steps)
-    x, g, y = _start(scenario, mode)
-    lam = scenario.lam
-    ens = scenario.ensemble
-    ws = scenario.weights
-    n, p = ens.n, ens.p
     src, dst = scenario.graph.edge_index_arrays()
-    alphas = scenario.steps.values
+    ens = scenario.ensemble
+    n, p = ens.n, ens.p
+    if record_transcript and (size := 2 * K * src.size * p * 8) > TRANSCRIPT_LIMIT_BYTES:
+        raise ConfigError(f"a transcript of {K} iterations takes {size / 2**30:.1f} GiB, over the "
+                          f"{TRANSCRIPT_LIMIT_BYTES / 2**30:g} GiB limit; lower algorithm.K")
+    trajectory = _trajectory(scenario, mode, K)
+    x, y, g, w, _, _ = next(trajectory)
+    ws = scenario.weights
     x_star = ens.global_optimum()
 
     phi = phi_static(ws.matrices_at(1)[0]) if ws.mode == "static" else None
@@ -355,31 +387,26 @@ def run(
     xs, ys = np.empty((2, K + 1, n, p)) if record_states else (None, None)
 
     pi = np.full(n, 1.0 / n)
-    init_dist = float(np.linalg.norm(x - x_star) ** 2)
+    init_dist = monitor.norm(x - x_star) ** 2
     norm_by = init_dist if init_dist > 0.0 else 1.0
 
-    def fill_row(t: int, k: int) -> float:
-        res = float(np.linalg.norm(x - x_star) ** 2) / norm_by
-        mv = monitor.metric_vector(NetworkState(k, x, y), x_star, phi, pi)
-        w = lam.value(k) if mode == "wgt" else 1.0
-        conservation = float(np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0)))
-        metrics[t] = (res, mv.s2, mv.s3, w, conservation, float(np.linalg.norm(g)))
+    def fill_row(t: int) -> float:
+        res = monitor.norm(x - x_star) ** 2 / norm_by
+        _, y_hat, s2, s3 = monitor.deviations(x, y, phi, pi)
+        metrics[t] = (res, s2, s3, w, monitor.norm(y_hat - w * g.sum(axis=0)), monitor.norm(g))
         pis[t] = pi
         if record_states:
             xs[t], ys[t] = x, y
         return res
 
     K_run = K
-    fill_row(0, 1)
-    for k in range(1, K + 1):
-        A, B = ws.matrices_at(k)
-        x, y, g, xm, ym = _step(mode, x, y, g, A, B, src, dst, alphas, lam, k, ens)
+    fill_row(0)
+    for k, (x, y, g, w, msgs, B) in enumerate(trajectory, 1):
         if record_transcript:
-            x_msgs[k - 1] = xm
-            y_msgs[k - 1] = ym
+            x_msgs[k - 1], y_msgs[k - 1] = msgs
         pi = B @ pi
-        res = fill_row(k, k + 1)
-        if not np.isfinite(res) or res > divergence_cap:
+        res = fill_row(k)
+        if not math.isfinite(res) or res > divergence_cap:
             raise DivergenceError(k + 1, res)
         if stop_when_below is not None and res <= stop_when_below:
             K_run = k
@@ -402,8 +429,8 @@ def run(
             "n": n,
             "p": p,
             "weight_mode": ws.mode,
-            "alpha": [float(a) for a in alphas],
-            "lambda": lam.describe() if mode == "wgt" else "1 (constant)",
+            "alpha": [float(a) for a in scenario.steps.values],
+            "lambda": scenario.lam.describe() if mode == "wgt" else "1 (constant)",
             "init_seed": scenario.init_seed,
         },
         states=(xs[rows], ys[rows]) if record_states else None,
@@ -426,18 +453,9 @@ def replay(scenario: Scenario, mode: str, transcript: Transcript) -> tuple[np.nd
         raise ValueError(f"transcript was recorded in mode {transcript.mode!r}")
     if transcript.graph != scenario.graph:
         raise ValueError("transcript was recorded over a different graph")
-    x, g, y = _start(scenario, mode)
-    src, dst = scenario.graph.edge_index_arrays()
     K = transcript.K
-    xs = np.empty((K + 1,) + x.shape)
-    ys = np.empty((K + 1,) + y.shape)
-    xs[0], ys[0] = x, y
-    alphas = scenario.steps.values
-    for k in range(1, K + 1):
-        A, B = scenario.weights.matrices_at(k)
-        msgs = (transcript.x_msgs[k - 1], transcript.y_msgs[k - 1])
-        x, y, g, _, _ = _step(
-            mode, x, y, g, A, B, src, dst, alphas, scenario.lam, k, scenario.ensemble, msgs
-        )
+    xs = np.empty((K + 1, scenario.graph.n, scenario.ensemble.p))
+    ys = np.empty_like(xs)
+    for k, (x, y, *_) in enumerate(_trajectory(scenario, mode, K, transcript)):
         xs[k], ys[k] = x, y
     return xs, ys

@@ -15,6 +15,7 @@ than any hand-constructed weighted norm would give.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,6 +55,21 @@ class MetricVector:
         return np.array([self.s1, self.s2, self.s3])
 
 
+def norm(v: np.ndarray) -> float:
+    """Euclidean (Frobenius) norm of a real array: the float np.linalg.norm
+    returns, by the same ravel, dot and sqrt, without its dispatch."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def deviations(x: np.ndarray, y: np.ndarray, phi: np.ndarray | None, pi_k: np.ndarray):
+    """(xbar, y_hat, ||x - 1 xbar^T||, ||y - pi_k y_hat^T||): xbar is the
+    phi-weighted (phi=None: uniform) mean of the rows of x, y_hat the tracker sum."""
+    xbar = x.mean(axis=0) if phi is None else phi @ x
+    y_hat = y.sum(axis=0)
+    return xbar, y_hat, norm(x - xbar), norm(y - pi_k[:, None] * y_hat)
+
+
 def metric_vector(state, x_star: np.ndarray, phi: np.ndarray | None, pi_k: np.ndarray) -> MetricVector:
     """Evaluate the three error components for a network state.
 
@@ -61,20 +77,9 @@ def metric_vector(state, x_star: np.ndarray, phi: np.ndarray | None, pi_k: np.nd
     back to the uniform average for the mean (the honest choice when no
     stationary left vector is available, e.g. time-varying weights).
     """
-    x = state.x
-    y = state.y
-    n = x.shape[0]
-    if phi is None:
-        xbar = x.mean(axis=0)
-        weighting = "uniform"
-    else:
-        xbar = phi @ x
-        weighting = "phi"
-    y_hat = y.sum(axis=0)
-    s1 = float(np.linalg.norm(xbar - x_star))
-    s2 = float(np.linalg.norm(x - np.outer(np.ones(n), xbar)))
-    s3 = float(np.linalg.norm(y - np.outer(pi_k, y_hat)))
-    return MetricVector(state.k, s1, s2, s3, weighting)
+    xbar, _, s2, s3 = deviations(state.x, state.y, phi, pi_k)
+    weighting = "uniform" if phi is None else "phi"
+    return MetricVector(state.k, norm(xbar - x_star), s2, s3, weighting)
 
 
 @dataclass(frozen=True)
@@ -336,7 +341,6 @@ def admissibility_report(
     sigma_B = np.empty(K)
     xi = np.empty(K)
     theta = np.empty(K)
-    pi_norm = np.empty(K)
     margin = np.empty(K)
     window_lb = np.empty(K)
     terms = np.full((K, 4), np.inf)
@@ -395,7 +399,6 @@ def admissibility_report(
         sigma_B[k - 1] = sB
         xi[k - 1] = xk
         theta[k - 1] = th
-        pi_norm[k - 1] = pn
         margin[k - 1] = mrg
         window_lb[k - 1] = 1.0 - rn * mu * (1.0 - sB) * th / (2.0 * L * delta_B2 * xk * phi_norm)
         pi = pi_next
@@ -404,14 +407,9 @@ def admissibility_report(
     window_ok = (margin > 0.0) & (ratio <= 1.0)
 
     # first k from which the window holds through the full horizon
-    window_first_k: int | None = None
-    ok_from_here = True
-    for k in range(K, 0, -1):
-        ok_from_here = ok_from_here and bool(window_ok[k - 1])
-        if ok_from_here:
-            window_first_k = k
-        else:
-            break
+    failing = np.flatnonzero(~window_ok)
+    last_fail = int(failing[-1]) + 1 if failing.size else 0
+    window_first_k = last_fail + 1 if last_fail < K else None
 
     alpha_bound = None
     binding = None

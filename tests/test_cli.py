@@ -1,13 +1,26 @@
 """End-to-end command-line behavior: configs, outputs, exit codes."""
 
+import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
 import yaml
 
-from wgtsim import cli
+from wgtsim import cli, engine
 from wgtsim.cli import CSV_HEADER, SWEEP_CSV_HEADER, load_config, main, resolve
 from wgtsim.errors import NumericalError
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# SHA-256 of report.csv from `wgtsim run` on the shipped configs. A change
+# to the kernel, the metrics or the CSV format that moves one bit fails here.
+GOLDEN_REPORT_SHA256 = {
+    "run_wgt.yaml": "252f3c825c17a14d04b60c55545793e3e0b38b33e4af49f099d9b0115c6d6db2",
+    "run_ab.yaml": "f501de72bc58ba48d7bd10b3bee8289b25f6e52a262d7dd74afba09166e68a64",
+}
 
 
 def write_config(path, **sections):
@@ -46,7 +59,7 @@ def baseline_config(tmp_path, out_dir, alpha=5.0e-4, K=3000, **extra):
     )
 
 
-def two_agent_config(tmp_path, out_dir, **extra):
+def two_agent_config(tmp_path, out_dir, K=200, **extra):
     return write_config(
         tmp_path / "two.yaml",
         graph={"preset": "ring-2"},
@@ -55,7 +68,7 @@ def two_agent_config(tmp_path, out_dir, **extra):
             "mode": "wgt",
             "alpha": [0.05, 0.08],
             "lambda": {"e": 0.8, "m": 10.0},
-            "K": 200,
+            "K": K,
             "init_seed": 3,
         },
         report={"output_dir": str(out_dir)},
@@ -94,6 +107,12 @@ class TestRun:
         assert (tmp_path / "a" / "report.csv").read_bytes() == (
             tmp_path / "b" / "report.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORT_SHA256))
+    def test_shipped_report_bytes_are_pinned(self, tmp_path, name):
+        assert main(["run", str(CONFIG_DIR / name), "-o", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_REPORT_SHA256[name]
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         cfg = baseline_config(tmp_path, tmp_path / "out", alpha=0.01)
@@ -422,6 +441,27 @@ class TestAttack:
         # Messages are still moving at K=200, so the eavesdropper's own
         # detector reports the attempt as not yet stabilized.
         assert code == 4
+
+
+@pytest.mark.parametrize("command", ["attack", "audit"])
+def test_oversized_transcript_exits_2_before_allocating(tmp_path, capsys, monkeypatch, command):
+    # 10^9 iterations of a transcript need hundreds of GiB; the run must be
+    # refused before any table is allocated or the first state is drawn
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(engine, "_trajectory", started)
+    config = baseline_config if command == "attack" else two_agent_config
+    cfg = config(tmp_path, tmp_path / "out", K=10**9)
+    tracemalloc.start()
+    try:
+        assert main([command, cfg]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    err = capsys.readouterr().err
+    assert "GiB" in err and "lower algorithm.K" in err
 
 
 class TestAudit:

@@ -2,18 +2,19 @@
 
 The graph's adjacency structure is checked against a brute-force scan of
 its edge list, the weight matrices against a reference builder that scans
-the edges once per agent, and the engine's run against replay and the
-tracker-mass identity.
+the edges once per agent, and the engine's run against replay, the
+tracker-mass identity and the public definitions of its metrics row.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgtsim.engine import LambdaSchedule, Scenario, StepSizes, replay, run
+from wgtsim.engine import LambdaSchedule, NetworkState, Scenario, StepSizes, replay, run
 from wgtsim.graph import DirectedGraph
+from wgtsim.monitor import metric_vector
 from wgtsim.objective import make_sensor_scenario
-from wgtsim.weights import WeightSchedule
+from wgtsim.weights import WeightSchedule, phi_static
 
 # a support has at most n <= 30 entries, so these floors are always feasible
 A_FLOOR, B_FLOOR = 0.02, 0.03
@@ -118,16 +119,7 @@ def test_matrices_are_bit_identical_to_the_edge_scan_builder(graph, mode, seed, 
         assert B.tobytes() == ref_B.tobytes()
 
 
-@SETTINGS
-@given(
-    ring_plus_chords(),
-    st.sampled_from(["ab", "wgt"]),
-    st.sampled_from(["static", "time-varying"]),
-    st.integers(1, 8),
-    st.integers(0, 2**16),
-    st.data(),
-)
-def test_replay_is_bit_exact_and_tracker_mass_is_conserved(graph, mode, weight_mode, p, seed, data):
+def random_scenario(graph, mode, weight_mode, p, seed, data):
     n = graph.n
     if mode == "ab":
         steps = StepSizes.homogeneous(1e-4, n)
@@ -135,7 +127,7 @@ def test_replay_is_bit_exact_and_tracker_mass_is_conserved(graph, mode, weight_m
         steps = StepSizes(np.array(data.draw(st.lists(
             st.floats(5e-5, 2e-4), min_size=n, max_size=n))))
     weights = WeightSchedule(graph, mode=weight_mode, a_floor=A_FLOOR, b_floor=B_FLOOR, seed=seed)
-    scen = Scenario(
+    return Scenario(
         graph=graph,
         weights=weights,
         ensemble=make_sensor_scenario(n=n, d=3, p=p, seed=seed),
@@ -143,8 +135,44 @@ def test_replay_is_bit_exact_and_tracker_mass_is_conserved(graph, mode, weight_m
         lam=LambdaSchedule(e=0.8, m=10.0),
         init_seed=seed,
     )
+
+
+SCENARIOS = (
+    ring_plus_chords(),
+    st.sampled_from(["ab", "wgt"]),
+    st.sampled_from(["static", "time-varying"]),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+    st.data(),
+)
+
+
+@SETTINGS
+@given(*SCENARIOS)
+def test_replay_is_bit_exact_and_tracker_mass_is_conserved(graph, mode, weight_mode, p, seed, data):
+    scen = random_scenario(graph, mode, weight_mode, p, seed, data)
     report, tr = run(scen, mode, 15, record_states=True)
     xs, ys = replay(scen, mode, tr)
     assert xs.tobytes() == report.states[0].tobytes()
     assert ys.tobytes() == report.states[1].tobytes()
     assert (report.conservation_residuals <= 1e-9 * (1.0 + report.grad_norms)).all()
+
+
+@SETTINGS
+@given(*SCENARIOS)
+def test_metrics_row_equals_the_public_definitions(graph, mode, weight_mode, p, seed, data):
+    scen = random_scenario(graph, mode, weight_mode, p, seed, data)
+    report, _ = run(scen, mode, 15, record_transcript=False, record_states=True)
+    phi = phi_static(scen.weights.matrices_at(1)[0]) if weight_mode == "static" else None
+    x_star = report.x_star
+    init_dist = float(np.linalg.norm(report.states[0][0] - x_star) ** 2)
+    for t, (x, y) in enumerate(zip(*report.states)):
+        mv = metric_vector(NetworkState(t + 1, x, y), x_star, phi, report.pis[t])
+        g = scen.ensemble.gradients(x)
+        w = scen.lam.value(t + 1) if mode == "wgt" else 1.0
+        assert report.residuals[t] == float(np.linalg.norm(x - x_star) ** 2) / init_dist
+        assert report.consensus_errors[t] == mv.s2
+        assert report.tracking_errors[t] == mv.s3
+        assert report.lambdas[t] == w
+        assert report.conservation_residuals[t] == np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0))
+        assert report.grad_norms[t] == np.linalg.norm(g)
