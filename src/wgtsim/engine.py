@@ -48,8 +48,8 @@ __all__ = [
 
 MODES = ("ab", "wgt")
 
-# run(record_transcript=True) refuses runs whose messages would exceed this
-TRANSCRIPT_LIMIT_BYTES = 2 * 2**30
+# run refuses a run whose tables (metrics, pis, transcript, states) would exceed this
+BUFFER_LIMIT_BYTES = 2 * 2**30
 
 
 @dataclass(frozen=True)
@@ -262,17 +262,19 @@ class RunReport:
         }
 
 
-def _plans(weights: WeightSchedule, src: np.ndarray, dst: np.ndarray):
+def _plans(weights: WeightSchedule, src: np.ndarray, dst: np.ndarray, p: int):
     """Yield (plan, B_k) for k = 1, 2, ...: the plan holds diag(A_k),
     A_k[dst, src], diag(B_k) and B_k[dst, src] as column vectors, gathered
-    once for a static schedule and afresh per k for a time-varying one."""
+    once for a static schedule and afresh per k for a time-varying one, and
+    the flat index dst * p + c of each edge's component c, built once."""
     n = weights.graph.n
     rows, cols = np.r_[np.arange(n), dst], np.r_[np.arange(n), src]
+    flat_dst = (dst[:, None] * p + np.arange(p)).ravel()
 
     def plan(k: int):
         A, B = weights.matrices_at(k)
         a, b = A[rows, cols][:, None], B[rows, cols][:, None]
-        return (a[:n], a[n:], b[:n], b[n:]), B
+        return (a[:n], a[n:], b[:n], b[n:], flat_dst), B
 
     if weights.mode == "static":
         return itertools.repeat(plan(1))
@@ -281,7 +283,7 @@ def _plans(weights: WeightSchedule, src: np.ndarray, dst: np.ndarray):
 
 def _step(
     mode: str, x: np.ndarray, y: np.ndarray, g_prev: np.ndarray, plan: tuple, src: np.ndarray,
-    dst: np.ndarray, alphas: np.ndarray, lams: tuple[float, float], ensemble: ObjectiveEnsemble,
+    alphas: np.ndarray, lams: tuple[float, float], ensemble: ObjectiveEnsemble,
     msgs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """One synchronous iteration; returns new x, y, grad and the messages.
@@ -290,20 +292,21 @@ def _step(
     only wgt reads. msgs=None computes the (x_msgs, y_msgs) the senders put
     on the channels; recorded messages (replay) are mixed in their place.
     """
-    a_self, a_edge, b_self, b_edge = plan
+    a_self, a_edge, b_self, b_edge, flat_dst = plan
     # wgt adapts before it combines: the x-channel carries x - alpha * y
     sent = x - alphas * y if mode == "wgt" else x
     if msgs is None:
         msgs = sent[src], b_edge * y[src]
     x_msgs, y_msgs = msgs
-    # np.add.at adds the per-edge terms one at a time in edge order, which
-    # pins the floating-point summation order that bit-exact replay needs
+    # np.add.at on the flattened (n, p) array adds the raveled (E, p) terms
+    # one at a time at flat_dst: each element receives its edges' terms in
+    # edge order, which pins the summation order bit-exact replay needs
     x_next = a_self * sent
-    np.add.at(x_next, dst, a_edge * x_msgs)
+    np.add.at(x_next.ravel(), flat_dst, (a_edge * x_msgs).ravel())
     if mode == "ab":
         x_next -= alphas[0] * y
     y_mix = b_self * y
-    np.add.at(y_mix, dst, y_msgs)
+    np.add.at(y_mix.ravel(), flat_dst, y_msgs.ravel())
     g_next = ensemble.gradients(x_next)
     if mode == "wgt":
         lam_prev, lam_next = lams
@@ -331,11 +334,12 @@ def _trajectory(scenario: Scenario, mode: str, K: int, transcript: Transcript | 
     yield x, y, g, w, None, None
     src, dst = scenario.graph.edge_index_arrays()
     alphas = scenario.steps.values[:, None]
-    for k, (plan, B) in zip(range(1, K + 1), _plans(scenario.weights, src, dst)):
+    plans = _plans(scenario.weights, src, dst, x.shape[1])
+    for k, (plan, B) in zip(range(1, K + 1), plans):
         w_next = weight(k + 1)
         msgs = None if transcript is None else (transcript.x_msgs[k - 1], transcript.y_msgs[k - 1])
         x, y, g, msgs = _step(
-            mode, x, y, g, plan, src, dst, alphas, (w, w_next), scenario.ensemble, msgs
+            mode, x, y, g, plan, src, alphas, (w, w_next), scenario.ensemble, msgs
         )
         w = w_next
         yield x, y, g, w, msgs, B
@@ -355,8 +359,9 @@ def run(
     """Execute K synchronous iterations and collect per-iteration metrics.
 
     Returns (report, transcript); the transcript is None when recording is
-    disabled (long runs: messages cost K * E * 2 * p floats; above
-    TRANSCRIPT_LIMIT_BYTES the run is refused with ConfigError). The report
+    disabled (long runs: messages cost K * E * 2 * p floats). A run whose
+    tables would take more than BUFFER_LIMIT_BYTES is refused with
+    ConfigError before any is allocated. The report
     has one row per visited iterate including the initial state: K + 1
     rows, fewer if stop_when_below is set and the residual crosses it
     first. A non-finite or cap-exceeding residual aborts with
@@ -370,9 +375,11 @@ def run(
     src, dst = scenario.graph.edge_index_arrays()
     ens = scenario.ensemble
     n, p = ens.n, ens.p
-    if record_transcript and (size := 2 * K * src.size * p * 8) > TRANSCRIPT_LIMIT_BYTES:
-        raise ConfigError(f"a transcript of {K} iterations takes {size / 2**30:.1f} GiB, over the "
-                          f"{TRANSCRIPT_LIMIT_BYTES / 2**30:g} GiB limit; lower algorithm.K")
+    floats = (K + 1) * (len(METRIC_COLUMNS) + n + (2 * n * p if record_states else 0))
+    floats += 2 * K * src.size * p if record_transcript else 0
+    if (size := 8 * floats) > BUFFER_LIMIT_BYTES:
+        raise ConfigError(f"the tables of a {K}-iteration run take {size / 2**30:.1f} GiB, over "
+                          f"the {BUFFER_LIMIT_BYTES / 2**30:g} GiB limit; lower algorithm.K")
     trajectory = _trajectory(scenario, mode, K)
     x, y, g, w, _, _ = next(trajectory)
     ws = scenario.weights

@@ -3,7 +3,7 @@
 Agents are labelled 1..n. An edge (i, j) means agent i can send messages to
 agent j; there are no self-loops because every agent always has access to its
 own state. Strong connectivity is required by every downstream construction,
-so the check lives here and is cheap enough to run at validation time.
+so the graph checks it once, when it is built.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class DirectedGraph:
     _out_edges: tuple[np.ndarray, np.ndarray] = _derived()
     _src: np.ndarray = _derived()
     _dst: np.ndarray = _derived()
+    _strongly_connected: bool = _derived()
 
     def __post_init__(self):
         if self.n < 1:
@@ -96,6 +97,7 @@ class DirectedGraph:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_strongly_connected", self._reaches_all())
 
     def _check_agent(self, i: int) -> None:
         if not (1 <= i <= self.n):
@@ -122,11 +124,12 @@ class DirectedGraph:
         return flat[ptr[i - 1] : ptr[i]]
 
     def is_strongly_connected(self) -> bool:
-        """Every agent reaches every other along directed edges.
+        """Every agent reaches every other along directed edges (checked once, at construction)."""
+        return self._strongly_connected
 
-        Uses one forward and one backward reachability sweep from agent 1;
-        both reaching all n agents is equivalent to strong connectivity.
-        """
+    def _reaches_all(self) -> bool:
+        """One forward and one backward reachability sweep from agent 1;
+        both reaching all n agents is equivalent to strong connectivity."""
         for flat, ptr in (self.out_supports, self.in_supports):
             reached, frontier = {0}, {0}
             while frontier:

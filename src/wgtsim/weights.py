@@ -32,25 +32,6 @@ __all__ = [
 MODES = ("static", "time-varying")
 
 
-def _on_supports(graph: DirectedGraph, a_values: np.ndarray, b_values: np.ndarray):
-    """(A, B) with a_values laid row by row over A's supports, agent 1 first,
-    and b_values column by column over B's."""
-    n = graph.n
-    (a_flat, a_ptr), (b_flat, b_ptr) = graph.in_supports, graph.out_supports
-    A = np.zeros((n, n))
-    B = np.zeros((n, n))
-    A[np.repeat(np.arange(n), np.diff(a_ptr)), a_flat] = a_values
-    B[b_flat, np.repeat(np.arange(n), np.diff(b_ptr))] = b_values
-    return A, B
-
-
-def _random_on_support(support_size: int, floor: float, rng: np.random.Generator) -> np.ndarray:
-    """Random stochastic vector of given length with entries >= floor."""
-    g = rng.uniform(size=support_size)
-    g = g / g.sum()
-    return floor + (1.0 - support_size * floor) * g
-
-
 @dataclass
 class WeightSchedule:
     """Weight-matrix generator for a strongly connected digraph.
@@ -73,18 +54,42 @@ class WeightSchedule:
             raise ConfigError("weight floors must be positive")
         if not self.graph.is_strongly_connected():
             raise ConfigError("weight schedule requires a strongly connected graph")
+        n = self.graph.n
+        (a_flat, a_ptr), (b_flat, b_ptr) = self.graph.in_supports, self.graph.out_supports
         # support sizes per agent: A's rows, then B's columns
-        self._sizes = [np.diff(ptr) for _, ptr in (self.graph.in_supports, self.graph.out_supports)]
+        a_sizes, b_sizes = np.diff(a_ptr), np.diff(b_ptr)
         for name, floor, sizes, line in zip(
-            ("a_floor", "b_floor"), (self.a_floor, self.b_floor), self._sizes, ("row", "column")
+            ("a_floor", "b_floor"), (self.a_floor, self.b_floor), (a_sizes, b_sizes), ("row", "column")
         ):
             widest = int(sizes.max())
             if floor * widest > 1.0:
                 raise ConfigError(f"{name}={floor} infeasible: some {line} has {widest} entries")
-        A, B = _on_supports(self.graph, *(np.repeat(1.0 / m, m) for m in self._sizes))
-        A.setflags(write=False)
-        B.setflags(write=False)
-        self._uniform = (A, B)
+        # every supported entry in draw order (A rows for i=1..n, then B
+        # columns for i=1..n) with its flat position in an n x n matrix
+        self._positions = (
+            np.repeat(np.arange(n), a_sizes) * n + a_flat,
+            b_flat * n + np.repeat(np.arange(n), b_sizes),
+        )
+        sizes = np.concatenate((a_sizes, b_sizes))
+        entry_sizes = np.repeat(sizes, sizes)
+        self._uniform_values = 1.0 / entry_sizes
+        self._floors = np.repeat((self.a_floor, self.b_floor), (a_flat.size, b_flat.size))
+        self._scales = 1.0 - entry_sizes * self._floors
+        # the supports of each size m as a (count, m) index into one draw; a
+        # row sum over it adds in the order g.sum() uses on one support
+        # (np.add.reduceat does not, so its sums differ in the last bit)
+        starts = np.cumsum(sizes) - sizes
+        self._groups = [starts[sizes == m][:, None] + np.arange(m) for m in np.unique(sizes)]
+        self._uniform = self._dense(self._uniform_values)
+
+    def _dense(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (A, B) holding values, in draw order, on their supports."""
+        n = self.graph.n
+        mats = np.zeros((n, n)), np.zeros((n, n))
+        for M, pos, part in zip(mats, self._positions, np.split(values, [self._positions[0].size])):
+            M.put(pos, part)
+            M.setflags(write=False)
+        return mats
 
     def matrices_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(A_k, B_k) for iteration k >= 1. Static mode ignores k."""
@@ -92,19 +97,16 @@ class WeightSchedule:
             raise ValueError(f"iteration index must be >= 1, got {k}")
         if self.mode == "static":
             return self._uniform
-        # fresh generator per (seed, k): repeat calls are bit-identical
-        rng = np.random.default_rng([self.seed, k])
-        UA, UB = self._uniform
-        a_sizes, b_sizes = self._sizes
-        # draw order: A rows for i=1..n, then B columns for i=1..n
-        a_values = [_random_on_support(m, self.a_floor, rng) for m in a_sizes.tolist()]
-        b_values = [_random_on_support(m, self.b_floor, rng) for m in b_sizes.tolist()]
-        A, B = _on_supports(self.graph, np.concatenate(a_values), np.concatenate(b_values))
-        A = 0.5 * (UA + A)
-        B = 0.5 * (UB + B)
-        A.setflags(write=False)
-        B.setflags(write=False)
-        return A, B
+        # fresh generator per (seed, k): repeat calls are bit-identical. One
+        # uniform draw returns the stream that one draw per support would.
+        u = np.random.default_rng([self.seed, k]).uniform(size=self._floors.size)
+        g = np.empty_like(u)
+        for idx in self._groups:
+            part = u[idx]
+            g[idx] = part / part.sum(axis=1, keepdims=True)
+        # each support: a random stochastic vector with entries >= floor,
+        # averaged with the uniform weights
+        return self._dense(0.5 * (self._uniform_values + (self._floors + self._scales * g)))
 
     def pi_sequence(self, K: int) -> np.ndarray:
         """Stationary-tracking vectors pi_1..pi_K, shape (K, n).

@@ -21,6 +21,9 @@ GOLDEN_REPORT_SHA256 = {
     "run_wgt.yaml": "252f3c825c17a14d04b60c55545793e3e0b38b33e4af49f099d9b0115c6d6db2",
     "run_ab.yaml": "f501de72bc58ba48d7bd10b3bee8289b25f6e52a262d7dd74afba09166e68a64",
 }
+# The same for time_varying_ring_config: the weight draw and the mixing of a
+# larger network with time-varying weights, which the shipped runs skip.
+GOLDEN_TV_RING_SHA256 = "3aa627a8943e626540882836013f75e72c07b0250ec27842e92ea17d08dacdc7"
 
 
 def write_config(path, **sections):
@@ -56,6 +59,26 @@ def baseline_config(tmp_path, out_dir, alpha=5.0e-4, K=3000, **extra):
         algorithm={"mode": "ab", "alpha": alpha, "K": K, "init_seed": 3},
         report={"output_dir": str(out_dir)},
         **extra,
+    )
+
+
+def time_varying_ring_config(tmp_path, out_dir, n=40):
+    # a directed ring plus chords i -> (7i + 3) mod n + 1 and i -> (11i + 5) mod n + 1
+    edges = {(i, i % n + 1) for i in range(1, n + 1)}
+    edges |= {(i, (c * i + o) % n + 1) for i in range(1, n + 1) for c, o in ((7, 3), (11, 5))}
+    return write_config(
+        tmp_path / "tv_ring.yaml",
+        graph={"n": n, "edges": sorted([a, b] for a, b in edges if a != b)},
+        weights={"mode": "time-varying", "a_floor": 0.1, "b_floor": 0.1, "seed": 5},
+        objective={"n": n, "seed": 4},
+        algorithm={
+            "mode": "wgt",
+            "alpha": 0.02,
+            "lambda": {"e": 0.8, "m": 10.0},
+            "K": 300,
+            "init_seed": 6,
+        },
+        report={"output_dir": str(out_dir)},
     )
 
 
@@ -113,6 +136,11 @@ class TestRun:
         assert main(["run", str(CONFIG_DIR / name), "-o", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_REPORT_SHA256[name]
+
+    def test_time_varying_ring_report_bytes_are_pinned(self, tmp_path):
+        assert main(["run", time_varying_ring_config(tmp_path, tmp_path / "out")]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "report.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_TV_RING_SHA256
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         cfg = baseline_config(tmp_path, tmp_path / "out", alpha=0.01)
@@ -234,6 +262,11 @@ class TestConfigErrors:
 
     def test_missing_required_sections(self, tmp_path, capsys):
         self.run_expecting_2(tmp_path, capsys, graph={"preset": "sensor-6"})
+
+    def test_malformed_yaml(self, tmp_path, capsys):
+        (tmp_path / "bad.yaml").write_text("schema: 1\ngraph: [1, 2\n")
+        assert main(["validate", str(tmp_path / "bad.yaml")]) == 2
+        assert "not valid YAML" in capsys.readouterr().err
 
     def test_unknown_preset_and_preset_edge_conflict(self, tmp_path, capsys):
         self.run_expecting_2(
@@ -443,16 +476,13 @@ class TestAttack:
         assert code == 4
 
 
-@pytest.mark.parametrize("command", ["attack", "audit"])
-def test_oversized_transcript_exits_2_before_allocating(tmp_path, capsys, monkeypatch, command):
-    # 10^9 iterations of a transcript need hundreds of GiB; the run must be
-    # refused before any table is allocated or the first state is drawn
+def assert_refused_before_allocating(monkeypatch, capsys, command, cfg):
+    """command on cfg exits 2, naming the size and the remedy, without
+    drawing the first state or allocating more than 10 MiB."""
     def started(*args, **kwargs):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(engine, "_trajectory", started)
-    config = baseline_config if command == "attack" else two_agent_config
-    cfg = config(tmp_path, tmp_path / "out", K=10**9)
     tracemalloc.start()
     try:
         assert main([command, cfg]) == 2
@@ -462,6 +492,22 @@ def test_oversized_transcript_exits_2_before_allocating(tmp_path, capsys, monkey
     assert peak < 10 * 2**20
     err = capsys.readouterr().err
     assert "GiB" in err and "lower algorithm.K" in err
+
+
+@pytest.mark.parametrize("command", ["attack", "audit"])
+def test_oversized_transcript_exits_2_before_allocating(tmp_path, capsys, monkeypatch, command):
+    # 10^9 iterations of a transcript need hundreds of GiB; the run must be
+    # refused before any table is allocated or the first state is drawn
+    config = baseline_config if command == "attack" else two_agent_config
+    cfg = config(tmp_path, tmp_path / "out", K=10**9)
+    assert_refused_before_allocating(monkeypatch, capsys, command, cfg)
+
+
+def test_oversized_run_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    # run records no transcript, but 10^9 rows of metrics and pis alone take
+    # 89 GiB at n = 6
+    cfg = flagship_config(tmp_path, tmp_path / "out", K=10**9)
+    assert_refused_before_allocating(monkeypatch, capsys, "run", cfg)
 
 
 class TestAudit:

@@ -2,15 +2,20 @@
 
 The graph's adjacency structure is checked against a brute-force scan of
 its edge list, the weight matrices against a reference builder that scans
-the edges once per agent, and the engine's run against replay, the
-tracker-mass identity and the public definitions of its metrics row.
+the edges once per agent, the step kernel against a per-edge row scatter,
+and the engine's run against replay, the tracker-mass identity and the
+public definitions of its metrics row.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgtsim.engine import LambdaSchedule, NetworkState, Scenario, StepSizes, replay, run
+from wgtsim.engine import (
+    LambdaSchedule, NetworkState, Scenario, StepSizes, _plans, _step, replay, run,
+)
 from wgtsim.graph import DirectedGraph
 from wgtsim.monitor import metric_vector
 from wgtsim.objective import make_sensor_scenario
@@ -119,6 +124,25 @@ def test_matrices_are_bit_identical_to_the_edge_scan_builder(graph, mode, seed, 
         assert B.tobytes() == ref_B.tobytes()
 
 
+def test_wide_supports_match_the_edge_scan_builder():
+    # g.sum() adds g[0] to the sum of the rest, taken pairwise from 8 values
+    # on; a draw that sums its supports in plain order (np.add.reduceat)
+    # differs from it in the last bit on supports of 9 to 12 entries
+    n = 16
+    edges = {(i, i % n + 1) for i in range(1, n + 1)}
+    edges |= {(j, 1) for j in range(4, 12)} | {(j, 2) for j in range(5, 12)}
+    edges |= {(3, j) for j in range(6, 14)} | {(4, j) for j in range(8, 14)}
+    graph = DirectedGraph(n, tuple(sorted(edges)))
+    for _, ptr in (graph.in_supports, graph.out_supports):
+        assert {9, 10} <= set(np.diff(ptr).tolist())
+    sched = WeightSchedule(graph, mode="time-varying", a_floor=A_FLOOR, b_floor=B_FLOOR, seed=3)
+    for k in range(1, 21):
+        A, B = sched.matrices_at(k)
+        ref_A, ref_B = reference_matrices(graph, "time-varying", 3, k)
+        assert A.tobytes() == ref_A.tobytes()
+        assert B.tobytes() == ref_B.tobytes()
+
+
 def random_scenario(graph, mode, weight_mode, p, seed, data):
     n = graph.n
     if mode == "ab":
@@ -145,6 +169,35 @@ SCENARIOS = (
     st.integers(0, 2**16),
     st.data(),
 )
+
+
+@SETTINGS
+@given(*SCENARIOS)
+def test_step_mixes_like_a_per_edge_row_scatter(graph, mode, weight_mode, p, seed, data):
+    # with zero gradients y_next is the tracker mix itself, not a sum that
+    # could round a last-bit difference of the mix away
+    scen = random_scenario(graph, mode, weight_mode, p, seed, data)
+    src, dst = graph.edge_index_arrays()
+    x, y = np.random.default_rng(seed).normal(size=(2, graph.n, p))
+    zero = np.zeros_like(x)
+    alphas = scen.steps.values[:, None]
+    k = data.draw(st.integers(1, 50))
+    plans = _plans(scen.weights, src, dst, p)
+    for _ in range(k):
+        plan, B = next(plans)
+    no_gradients = SimpleNamespace(gradients=np.zeros_like)
+    x_next, y_next, _, _ = _step(mode, x, y, zero, plan, src, alphas, (0.5, 0.25), no_gradients)
+
+    A, _ = scen.weights.matrices_at(k)
+    sent = x - alphas * y if mode == "wgt" else x
+    ref_x = np.diag(A)[:, None] * sent
+    np.add.at(ref_x, dst, A[dst, src][:, None] * sent[src])
+    if mode == "ab":
+        ref_x -= alphas[0] * y
+    ref_y = np.diag(B)[:, None] * y
+    np.add.at(ref_y, dst, B[dst, src][:, None] * y[src])
+    assert (x_next == ref_x).all()
+    assert (y_next == ref_y).all()
 
 
 @SETTINGS
