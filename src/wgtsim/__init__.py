@@ -33,7 +33,6 @@ from .graph import DirectedGraph, directed_ring, sensor_network_6
 from .monitor import (
     AdmissibilityReport,
     ContractionEstimates,
-    MetricVector,
     admissibility_report,
     det_criterion,
     error_propagation,
@@ -72,7 +71,6 @@ __all__ = [
     "sensor_network_6",
     "AdmissibilityReport",
     "ContractionEstimates",
-    "MetricVector",
     "admissibility_report",
     "det_criterion",
     "error_propagation",

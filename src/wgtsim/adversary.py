@@ -75,30 +75,17 @@ class AttackReport:
     error_is_absolute: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "mode": self.mode,
-            "iterations": self.iterations,
-            "inferred_gradient": [float(v) for v in self.inferred_gradient],
-            "inferred_norm": float(np.linalg.norm(self.inferred_gradient)),
-            "conclusive": self.conclusive,
-            "max_recent_message_delta": self.max_recent_message_delta,
-            "stabilization_tol": self.stabilization_tol,
-            "window": self.window,
-            "true_gradient_at_final": (
-                None
-                if self.true_gradient_at_final is None
-                else [float(v) for v in self.true_gradient_at_final]
-            ),
-            "relative_error": self.relative_error,
-            "error_is_absolute": self.error_is_absolute,
-        }
+        d = dataclasses.asdict(self)
+        d["inferred_gradient"] = [float(v) for v in self.inferred_gradient]
+        d["inferred_norm"] = float(np.linalg.norm(self.inferred_gradient))
+        if self.true_gradient_at_final is not None:
+            d["true_gradient_at_final"] = [float(v) for v in self.true_gradient_at_final]
+        return d
 
 
 def infer_gradient(
     transcript: Transcript,
     target: int,
-    mode: str | None = None,
     *,
     final_state=None,
     ensemble=None,
@@ -118,12 +105,6 @@ def infer_gradient(
     neither); when both are given the report carries the victim's true
     gradient at its final iterate and the error of the estimate.
     """
-    if mode is None:
-        mode = transcript.mode
-    elif mode != transcript.mode:
-        raise ValueError(
-            f"requested mode {mode!r} but transcript was recorded in {transcript.mode!r}"
-        )
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     K = transcript.K
@@ -142,7 +123,7 @@ def infer_gradient(
 
     report = AttackReport(
         target=target,
-        mode=mode,
+        mode=transcript.mode,
         iterations=K,
         inferred_gradient=inferred,
         conclusive=conclusive,
@@ -249,6 +230,53 @@ class AuditReport:
         return dataclasses.asdict(self)
 
 
+def _audit(
+    system: str,
+    K: int,
+    p: int,
+    K_min: int,
+    equations: int,
+    unknowns: int,
+    observations: TwoAgentObservations | None,
+    truth: tuple[np.ndarray, ...] | None,
+    truth_shapes: tuple[tuple[int, ...], ...],
+    build,
+) -> AuditReport:
+    """Rank accounting shared by both audits.
+
+    Without observations the rank is the structural one, equations.
+    Otherwise build() returns the stacked system (M, rhs) and the rank is
+    computed from M; truth, arrays of truth_shapes stacked in the order of
+    M's unknowns, gives the consistency residual.
+    """
+    if K < K_min:
+        raise ValueError(f"{system} audit needs K >= {K_min}, got {K}")
+    if p < 1:
+        raise ValueError(f"dimension must be >= 1, got {p}")
+    if observations is None:
+        if truth is not None:
+            raise ValueError("a consistency check needs observations")
+        return AuditReport(system, K, p, equations, unknowns, equations, unknowns - equations,
+                           "structural")
+    if observations.K < K or observations.p != p:
+        raise ValueError(
+            f"observations cover K={observations.K}, p={observations.p}; "
+            f"audit needs K={K}, p={p}"
+        )
+    M, rhs = build()
+    rank = int(np.linalg.matrix_rank(M))
+    residual = None
+    if truth is not None:
+        parts = [np.asarray(t, dtype=float) for t in truth]
+        shapes = tuple(t.shape for t in parts)
+        if shapes != truth_shapes:
+            raise ValueError(f"truth shapes {shapes}; expected {truth_shapes}")
+        u = np.concatenate([t.ravel() for t in parts])
+        residual = float(np.abs(M @ u - rhs).max())
+    return AuditReport(system, K, p, equations, unknowns, rank, unknowns - rank, "numeric",
+                       residual)
+
+
 def _state_system_matrices(
     K: int, p: int, obs: TwoAgentObservations
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -286,59 +314,27 @@ def audit_state_system(
     at iterations 2..K, shape (K-1, p), and its real mixing weights, shape
     (K-1,) — yields the consistency residual of the genuine trajectory.
     """
-    if K < 2:
-        raise ValueError(f"state audit needs K >= 2, got {K}")
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
     blocks = K - 1
-    equations = blocks * p
-    unknowns = blocks * (p + 1)
-    if observations is None:
-        if truth is not None:
-            raise ValueError("a consistency check needs observations")
-        return AuditReport("state", K, p, equations, unknowns, equations, unknowns - equations,
-                           "structural")
-    if observations.K < K or observations.p != p:
-        raise ValueError(
-            f"observations cover K={observations.K}, p={observations.p}; "
-            f"audit needs K={K}, p={p}"
-        )
-    M, rhs = _state_system_matrices(K, p, observations)
-    rank = int(np.linalg.matrix_rank(M))
-    residual = None
-    if truth is not None:
-        states, weights = truth
-        states = np.asarray(states, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if states.shape != (blocks, p) or weights.shape != (blocks,):
-            raise ValueError(
-                f"truth shapes {states.shape}, {weights.shape}; "
-                f"expected ({blocks}, {p}) and ({blocks},)"
-            )
-        u = np.concatenate([states.ravel(), weights])
-        residual = float(np.abs(M @ u - rhs).max())
-    return AuditReport(
-        system="state",
-        K=K,
-        p=p,
-        equations=equations,
-        unknowns=unknowns,
-        rank=rank,
-        nullity=unknowns - rank,
-        method="numeric",
-        consistency_residual=residual,
+    return _audit(
+        "state", K, p, 2, blocks * p, blocks * (p + 1), observations, truth,
+        ((blocks, p), (blocks,)), lambda: _state_system_matrices(K, p, observations),
     )
 
 
 def _gradient_system_matrices(
-    K: int, p: int, obs: TwoAgentObservations, lam, y_final: np.ndarray
+    K: int, p: int, obs: TwoAgentObservations, lam, y_final: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked system over unknowns [trackers 2..K, gradients 2..K+1].
 
     The tracker at iteration K+1 sits on the known side: a converged run
-    pins it (the attacker takes it as zero; a consistency check passes the
-    real value).
+    pins it (the attacker takes it as zero, y_final=None; a consistency
+    check passes the real value).
     """
+    if lam is None:
+        raise ValueError("numeric gradient audit needs the gradient-weight schedule")
+    y_final = np.zeros(p) if y_final is None else np.asarray(y_final, dtype=float)
+    if y_final.shape != (p,):
+        raise ValueError(f"final tracker has shape {y_final.shape}, expected ({p},)")
     n_y = K - 1
     M = np.zeros((K * p, (n_y + K) * p))
     rhs = np.empty(K * p)
@@ -390,51 +386,7 @@ def audit_gradient_system(
     residual; pass the real final tracker as y_final to make the genuine
     trajectory exactly consistent.
     """
-    if K < 1:
-        raise ValueError(f"gradient audit needs K >= 1, got {K}")
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
-    equations = K * p
-    unknowns = (2 * K - 1) * p
-    if observations is None:
-        if truth is not None:
-            raise ValueError("a consistency check needs observations")
-        return AuditReport("gradient", K, p, equations, unknowns, equations, unknowns - equations,
-                           "structural")
-    if lam is None:
-        raise ValueError("numeric gradient audit needs the gradient-weight schedule")
-    if observations.K < K or observations.p != p:
-        raise ValueError(
-            f"observations cover K={observations.K}, p={observations.p}; "
-            f"audit needs K={K}, p={p}"
-        )
-    if y_final is None:
-        y_final = np.zeros(p)
-    y_final = np.asarray(y_final, dtype=float)
-    if y_final.shape != (p,):
-        raise ValueError(f"final tracker has shape {y_final.shape}, expected ({p},)")
-    M, rhs = _gradient_system_matrices(K, p, observations, lam, y_final)
-    rank = int(np.linalg.matrix_rank(M))
-    residual = None
-    if truth is not None:
-        trackers, gradients = truth
-        trackers = np.asarray(trackers, dtype=float)
-        gradients = np.asarray(gradients, dtype=float)
-        if trackers.shape != (K - 1, p) or gradients.shape != (K, p):
-            raise ValueError(
-                f"truth shapes {trackers.shape}, {gradients.shape}; "
-                f"expected ({K - 1}, {p}) and ({K}, {p})"
-            )
-        u = np.concatenate([trackers.ravel(), gradients.ravel()])
-        residual = float(np.abs(M @ u - rhs).max())
-    return AuditReport(
-        system="gradient",
-        K=K,
-        p=p,
-        equations=equations,
-        unknowns=unknowns,
-        rank=rank,
-        nullity=unknowns - rank,
-        method="numeric",
-        consistency_residual=residual,
+    return _audit(
+        "gradient", K, p, 1, K * p, (2 * K - 1) * p, observations, truth,
+        ((K - 1, p), (K, p)), lambda: _gradient_system_matrices(K, p, observations, lam, y_final),
     )

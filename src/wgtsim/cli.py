@@ -312,11 +312,18 @@ def write_run_csv(path: Path, report) -> None:
     columns = (report.residuals, report.consensus_errors, report.tracking_errors, report.lambdas)
     for k, row in enumerate(zip(*columns), 1):
         lines.append(f"{k}," + ",".join(map(_fmt, row)))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path: Path, text: str) -> None:
+    """Write an output file, creating its directory only now: a command
+    refused before this point leaves no directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load(args: argparse.Namespace) -> tuple[dict, dict, DirectedGraph]:
@@ -361,7 +368,6 @@ def _admissibility_section(resolved: dict, scenario: Scenario, mode: str) -> dic
 def cmd_run(args: argparse.Namespace) -> int:
     _, resolved, graph = _load(args)
     out = Path(resolved["report"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     scenario, report, _ = _execute(resolved, graph, record_transcript=False)
     write_run_csv(out / "report.csv", report)
     payload = {
@@ -492,7 +498,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary["e_monotone_majority"] = sum(votes) * 2 > len(votes)
 
     out = Path(resolved["report"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     lines = [SWEEP_CSV_HEADER]
     for c in cells:
         its = "" if c["iterations_to_threshold"] is None else str(c["iterations_to_threshold"])
@@ -501,7 +506,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{c['kind']},{_fmt(c['alpha'])},{_fmt(c['e'])},{_fmt(c['m'])},"
             f"{c['objective_seed']},{c['init_seed']},{c['status']},{its},{tr}"
         )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    _write(out / "sweep.csv", "\n".join(lines) + "\n")
     _write_json(out / "sweep.json", {"config": resolved, "summary": summary, "cells": cells})
     print(
         f"sweep: {len(cells)} cells -> {out / 'sweep.csv'}, {out / 'sweep.json'}; "
@@ -511,11 +516,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _numeric_audits(scenario: Scenario, mode: str, transcript, honest: int, attacker: int, K_audit: int) -> dict:
+def _numeric_audits(scenario: Scenario, transcript, honest: int, attacker: int, K_audit: int) -> dict:
     """Numeric rank/consistency audits on a worst-case two-agent transcript."""
     obs = TwoAgentObservations.from_transcript(transcript, honest, attacker)
     K_audit = min(K_audit, obs.K)
-    xs, ys = replay(scenario, mode, transcript)
+    xs, ys = replay(scenario, transcript.mode, transcript)
     hi = honest - 1
     a_weights = np.array(
         [scenario.weights.matrices_at(k)[0][hi, attacker - 1] for k in range(1, K_audit)]
@@ -571,12 +576,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
     }
     if n == 2 and report.mode == "wgt" and transcript.K >= 2:
         other = 2 if target == 1 else 1
-        audits["two_agent"] = _numeric_audits(
-            scenario, report.mode, transcript, target, other, audit_K
-        )
+        audits["two_agent"] = _numeric_audits(scenario, transcript, target, other, audit_K)
 
     out = Path(resolved["report"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": resolved,
         "summary": report.summary(),
@@ -616,11 +618,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if two_agent:
         scenario, report, transcript = _execute(resolved, graph, record_transcript=True)
         payload["summary"] = report.summary()
-        payload["two_agent"] = _numeric_audits(
-            scenario, report.mode, transcript, honest, attacker, K_audit
-        )
+        payload["two_agent"] = _numeric_audits(scenario, transcript, honest, attacker, K_audit)
     out = Path(resolved["report"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit.json", payload)
     s = payload["state_structural"]
     g = payload["gradient_structural"]

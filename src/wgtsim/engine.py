@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,7 +229,6 @@ class RunReport:
     x_star: np.ndarray
     pis: np.ndarray  # (K+1, n)
     final_state: NetworkState
-    info: dict = field(default_factory=dict)
     states: tuple[np.ndarray, np.ndarray] | None = None  # (xs, ys), if recorded
 
     residuals = _column(0)
@@ -431,15 +430,6 @@ def run(
         x_star=x_star,
         pis=pis[rows],
         final_state=NetworkState(K_run + 1, x, y),
-        info={
-            "mode": mode,
-            "n": n,
-            "p": p,
-            "weight_mode": ws.mode,
-            "alpha": [float(a) for a in scenario.steps.values],
-            "lambda": scenario.lam.describe() if mode == "wgt" else "1 (constant)",
-            "init_seed": scenario.init_seed,
-        },
         states=(xs[rows], ys[rows]) if record_states else None,
     )
     transcript = None

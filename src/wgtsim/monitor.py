@@ -8,16 +8,17 @@ gradient-weight sequence), so convergence questions reduce to spectral
 questions about small matrices.
 
 Matrix norms here are evaluated with spectral-norm surrogates and unit
-norm-equivalence constants. That keeps every inequality a true statement
-about Euclidean quantities at the price of slightly different constants
-than any hand-constructed weighted norm would give.
+norm-equivalence constants, so those constants drop out of every bound. That
+keeps every inequality a true statement about Euclidean quantities at the
+price of slightly different constants than any hand-constructed weighted
+norm would give.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .errors import ConfigError
 from .weights import WeightSchedule, phi_static
 
 __all__ = [
-    "MetricVector",
     "ContractionEstimates",
     "metric_vector",
     "error_propagation",
@@ -38,21 +38,6 @@ __all__ = [
 ]
 
 FLAVORS = ("spectral_norm", "spectral_radius")
-
-
-@dataclass(frozen=True)
-class MetricVector:
-    """(s1, s2, s3) at iteration k: optimality gap of the weighted mean,
-    consensus error, and tracker deviation, all in Euclidean norms."""
-
-    k: int
-    s1: float
-    s2: float
-    s3: float
-    weighting: str  # "phi" or "uniform"
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
 
 
 def norm(v: np.ndarray) -> float:
@@ -70,16 +55,56 @@ def deviations(x: np.ndarray, y: np.ndarray, phi: np.ndarray | None, pi_k: np.nd
     return xbar, y_hat, norm(x - xbar), norm(y - pi_k[:, None] * y_hat)
 
 
-def metric_vector(state, x_star: np.ndarray, phi: np.ndarray | None, pi_k: np.ndarray) -> MetricVector:
-    """Evaluate the three error components for a network state.
+def metric_vector(
+    x: np.ndarray, y: np.ndarray, x_star: np.ndarray, phi: np.ndarray | None, pi_k: np.ndarray
+) -> tuple[float, float, float]:
+    """(s1, s2, s3) for states x, y of shape (n, p): optimality gap of the
+    weighted mean, consensus error and tracker deviation, in Euclidean norms.
 
-    state needs attributes k, x, y with x, y of shape (n, p). phi=None falls
-    back to the uniform average for the mean (the honest choice when no
-    stationary left vector is available, e.g. time-varying weights).
+    phi=None falls back to the uniform average for the mean (the honest
+    choice when no stationary left vector is available, e.g. time-varying
+    weights).
     """
-    xbar, _, s2, s3 = deviations(state.x, state.y, phi, pi_k)
-    weighting = "uniform" if phi is None else "phi"
-    return MetricVector(state.k, norm(xbar - x_star), s2, s3, weighting)
+    xbar, _, s2, s3 = deviations(x, y, phi, pi_k)
+    return norm(xbar - x_star), s2, s3
+
+
+def _sigma(M: np.ndarray, flavor: str) -> float:
+    """Contraction factor of a deflated mixing matrix in the given flavor."""
+    if flavor == "spectral_norm":
+        return float(np.linalg.norm(M, 2))
+    if flavor == "spectral_radius":
+        return spectral_radius(M)
+    raise ValueError(f"flavor {flavor!r} not in {FLAVORS}")
+
+
+def _static_terms(A: np.ndarray, phi: np.ndarray, flavor: str) -> dict:
+    """The terms fixed by A and its stationary left vector phi."""
+    n = A.shape[0]
+    return {
+        "sigma_A": _sigma(A - np.outer(np.ones(n), phi), flavor),
+        "phi_norm": float(np.linalg.norm(phi)),
+        "A_norm": float(np.linalg.norm(A, 2)),
+        "A_minus_I_norm": float(np.linalg.norm(A - np.eye(n), 2)),
+    }
+
+
+def _step_terms(B: np.ndarray, phi: np.ndarray, pi_k: np.ndarray, pi_next: np.ndarray,
+                alphas: np.ndarray, flavor: str) -> dict:
+    """The terms of iteration k: B_k against pi_k and pi_{k+1}, and the steps."""
+    n = B.shape[0]
+    one = np.ones(n)
+    alphas = np.asarray(alphas, dtype=float)
+    alpha_check = float(alphas.max())
+    alpha_tilde = float(phi @ (alphas * pi_k))
+    return {
+        "sigma_B": _sigma(B - np.outer(pi_k, one), flavor),
+        "xi": float(np.linalg.norm(np.eye(n) - np.outer(pi_next, one), 2)),
+        "pi_norm": float(np.linalg.norm(pi_k)),
+        "alpha_tilde": alpha_tilde,
+        "theta": alpha_tilde / alpha_check,
+        "alpha_check": alpha_check,
+    }
 
 
 @dataclass(frozen=True)
@@ -90,8 +115,7 @@ class ContractionEstimates:
     in the chosen flavor: the spectral norm of the deflated matrix (makes
     the propagation inequality a true Euclidean statement) or its spectral
     radius (always < 1 for admissible static matrices, but only an
-    asymptotic contraction factor). delta_AB and delta_B2 are the
-    norm-equivalence constants, both 1 under the surrogate convention.
+    asymptotic contraction factor).
     """
 
     k: int
@@ -105,8 +129,6 @@ class ContractionEstimates:
     alpha_tilde: float  # phi^T diag(alpha) pi_k
     theta: float  # alpha_tilde / alpha_check
     alpha_check: float
-    delta_AB: float = 1.0
-    delta_B2: float = 1.0
     flavor: str = "spectral_norm"
 
     @classmethod
@@ -120,40 +142,10 @@ class ContractionEstimates:
         alphas: np.ndarray,
         k: int = 1,
         flavor: str = "spectral_norm",
-        delta_AB: float = 1.0,
-        delta_B2: float = 1.0,
     ) -> "ContractionEstimates":
-        if flavor not in FLAVORS:
-            raise ValueError(f"flavor {flavor!r} not in {FLAVORS}")
-        n = A.shape[0]
-        one = np.ones(n)
-        A_defl = A - np.outer(one, phi)
-        B_defl = B - np.outer(pi_k, one)
-        if flavor == "spectral_norm":
-            sigma_A = float(np.linalg.norm(A_defl, 2))
-            sigma_B = float(np.linalg.norm(B_defl, 2))
-        else:
-            sigma_A = float(np.max(np.abs(np.linalg.eigvals(A_defl))))
-            sigma_B = float(np.max(np.abs(np.linalg.eigvals(B_defl))))
-        alphas = np.asarray(alphas, dtype=float)
-        alpha_check = float(alphas.max())
-        alpha_tilde = float(phi @ (alphas * pi_k))
-        return cls(
-            k=k,
-            sigma_A=sigma_A,
-            sigma_B=sigma_B,
-            xi=float(np.linalg.norm(np.eye(n) - np.outer(pi_next, one), 2)),
-            phi_norm=float(np.linalg.norm(phi)),
-            pi_norm=float(np.linalg.norm(pi_k)),
-            A_norm=float(np.linalg.norm(A, 2)),
-            A_minus_I_norm=float(np.linalg.norm(A - np.eye(n), 2)),
-            alpha_tilde=alpha_tilde,
-            theta=alpha_tilde / alpha_check,
-            alpha_check=alpha_check,
-            delta_AB=delta_AB,
-            delta_B2=delta_B2,
-            flavor=flavor,
-        )
+        static = _static_terms(A, phi, flavor)
+        step = _step_terms(B, phi, pi_k, pi_next, alphas, flavor)
+        return cls(k=k, **static, **step, flavor=flavor)
 
 
 def error_propagation(
@@ -193,16 +185,16 @@ def error_propagation(
             [
                 ac * L_hat * est.sigma_A * est.pi_norm * lam_k,
                 est.sigma_A * (1.0 + rn * ac * L * est.pi_norm * lam_k),
-                ac * est.delta_AB * est.sigma_A,
+                ac * est.sigma_A,
             ],
             [
-                rn * L * est.delta_B2 * est.xi * (cross + dlam),
-                L * est.delta_B2 * est.xi * (cross + lam_next * est.A_minus_I_norm + dlam),
-                est.sigma_B + ac * L * est.delta_B2 * est.xi * lam_next * est.A_norm,
+                rn * L * est.xi * (cross + dlam),
+                L * est.xi * (cross + lam_next * est.A_minus_I_norm + dlam),
+                est.sigma_B + ac * L * est.xi * lam_next * est.A_norm,
             ],
         ]
     )
-    d = np.array([0.0, 0.0, est.delta_B2 * est.xi * dlam * grad_opt_norm])
+    d = np.array([0.0, 0.0, est.xi * dlam * grad_opt_norm])
     return M, d
 
 
@@ -211,7 +203,7 @@ def limit_propagation(est: ContractionEstimates) -> np.ndarray:
     return np.array(
         [
             [1.0, 0.0, est.alpha_check * est.phi_norm],
-            [0.0, est.sigma_A, est.alpha_check * est.delta_AB * est.sigma_A],
+            [0.0, est.sigma_A, est.alpha_check * est.sigma_A],
             [0.0, 0.0, est.sigma_B],
         ]
     )
@@ -311,8 +303,6 @@ def admissibility_report(
     lam,
     K: int,
     flavor: str = "spectral_norm",
-    delta_AB: float = 1.0,
-    delta_B2: float = 1.0,
 ) -> AdmissibilityReport:
     """Check the sufficient convergence conditions over iterations 1..K.
 
@@ -333,11 +323,12 @@ def admissibility_report(
     phi = phi_static(A)
     L, mu = ensemble.L, ensemble.mu
     L_hat, mu_hat = ensemble.L_hat, ensemble.mu_hat
-    alpha_check = float(alphas.max())
     rn = np.sqrt(n)
+    static = _static_terms(A, phi, flavor)
+    sigma_A, phi_norm, A_norm = static["sigma_A"], static["phi_norm"], static["A_norm"]
 
     lam_vals = np.array([lam.value(k) for k in range(1, K + 2)])
-    pi = np.full(n, 1.0 / n)
+    pis = weights.pi_sequence(K + 1)
     sigma_B = np.empty(K)
     xi = np.empty(K)
     theta = np.empty(K)
@@ -345,54 +336,35 @@ def admissibility_report(
     window_lb = np.empty(K)
     terms = np.full((K, 4), np.inf)
 
-    one = np.ones(n)
-    A_defl = A - np.outer(one, phi)
-    if flavor == "spectral_norm":
-        sigma_A = float(np.linalg.norm(A_defl, 2))
-    elif flavor == "spectral_radius":
-        sigma_A = float(np.max(np.abs(np.linalg.eigvals(A_defl))))
-    else:
-        raise ValueError(f"flavor {flavor!r} not in {FLAVORS}")
-    A_norm = float(np.linalg.norm(A, 2))
-    AmI_norm = float(np.linalg.norm(A - np.eye(n), 2))
-    phi_norm = float(np.linalg.norm(phi))
-
     for k in range(1, K + 1):
         lam_k, lam_next = lam_vals[k - 1], lam_vals[k]
         dlam = lam_k - lam_next
-        pi_next = B @ pi
-        if flavor == "spectral_norm":
-            sB = float(np.linalg.norm(B - np.outer(pi, one), 2))
-        else:
-            sB = float(np.max(np.abs(np.linalg.eigvals(B - np.outer(pi, one)))))
-        xk = float(np.linalg.norm(np.eye(n) - np.outer(pi_next, one), 2))
-        pn = float(np.linalg.norm(pi))
-        at = float(phi @ (alphas * pi))
-        th = at / alpha_check
+        step = _step_terms(B, phi, pis[k - 1], pis[k], alphas, flavor)
+        sB, xk, pn, th = step["sigma_B"], step["xi"], step["pi_norm"], step["theta"]
 
         quad = (
-            n * rn * L**2 * sigma_A * delta_B2 * xk * A_norm * pn
+            n * rn * L**2 * sigma_A * xk * A_norm * pn
             * lam_k**2 * lam_next
-            * (L * delta_AB * th + L * phi_norm * pn + mu * delta_AB * th)
+            * (L * th + L * phi_norm * pn + mu * th)
         )
         lin = (
-            n * L * sigma_A * delta_B2 * xk * lam_k * dlam
-            * ((L + mu) * delta_AB * th + L * phi_norm * pn)
-            + n * L * delta_B2 * xk * lam_k * lam_next
+            n * L * sigma_A * xk * lam_k * dlam
+            * ((L + mu) * th + L * phi_norm * pn)
+            + n * L * xk * lam_k * lam_next
             * (
                 0.5 * L * phi_norm * (1.0 - sigma_A) * A_norm * pn
-                + (L * sigma_A * phi_norm * pn + mu * delta_AB * sigma_A * th) * (A_norm + 1.0)
+                + (L * sigma_A * phi_norm * pn + mu * sigma_A * th) * (A_norm + 1.0)
             )
             + 0.5 * n * rn * L**2 * sigma_A * pn * (1.0 - sB) * th * lam_k**2
         )
         mrg = (
             0.25 * mu_hat * (1.0 - sigma_A) * (1.0 - sB) * th * lam_k
-            - 0.5 * rn * L * delta_B2 * xk * phi_norm * (1.0 - sigma_A) * dlam
+            - 0.5 * rn * L * xk * phi_norm * (1.0 - sigma_A) * dlam
         )
 
         terms[k - 1, 0] = 2.0 / (th * lam_k * (mu_hat + L_hat))
         terms[k - 1, 1] = (1.0 - sigma_A) / (2.0 * rn * L * sigma_A * lam_k * pn)
-        terms[k - 1, 2] = (1.0 - sB) / (2.0 * L * delta_B2 * xk * lam_next * A_norm)
+        terms[k - 1, 2] = (1.0 - sB) / (2.0 * L * xk * lam_next * A_norm)
         if mrg > 0.0:
             terms[k - 1, 3] = 2.0 * mrg / (lin + np.sqrt(lin**2 + 4.0 * quad * mrg))
 
@@ -400,9 +372,9 @@ def admissibility_report(
         xi[k - 1] = xk
         theta[k - 1] = th
         margin[k - 1] = mrg
-        window_lb[k - 1] = 1.0 - rn * mu * (1.0 - sB) * th / (2.0 * L * delta_B2 * xk * phi_norm)
-        pi = pi_next
+        window_lb[k - 1] = 1.0 - rn * mu * (1.0 - sB) * th / (2.0 * L * xk * phi_norm)
 
+    alpha_check = step["alpha_check"]  # max step, the same at every k
     ratio = lam_vals[1:] / lam_vals[:-1]
     window_ok = (margin > 0.0) & (ratio <= 1.0)
 

@@ -203,11 +203,6 @@ class TestEavesdropperAttack:
         att = infer_gradient(tr, 1, stabilization_tol=1e-16, window=50)
         assert not att.conclusive
 
-    def test_mode_mismatch_rejected(self, baseline_attack):
-        _, _, tr = baseline_attack
-        with pytest.raises(ValueError):
-            infer_gradient(tr, 1, mode="wgt")
-
     def test_report_dict_round_trip(self, baseline_attack):
         scen, report, tr = baseline_attack
         att = infer_gradient(

@@ -24,6 +24,27 @@ GOLDEN_REPORT_SHA256 = {
 # The same for time_varying_ring_config: the weight draw and the mixing of a
 # larger network with time-varying weights, which the shipped runs skip.
 GOLDEN_TV_RING_SHA256 = "3aa627a8943e626540882836013f75e72c07b0250ec27842e92ea17d08dacdc7"
+# payload_digest (SHA-256 of the indented, key-sorted JSON) of the analysis
+# outputs on the shipped configs: the admissibility section of run_wgt's
+# report.json, and attack.json and audit.json without their config echo.
+GOLDEN_ADMISSIBILITY_SHA256 = "5f1895fb58d4672d5286684b85a5ee4d4e50f5c2c85d322f791bb0633abe4f87"
+GOLDEN_ATTACK_SHA256 = {
+    "attack_ab.yaml": "3363f2a2e2bb8698ded0729025b9eb71b3f5924439f253f4dbd6fd81af4da031",
+    "attack_wgt.yaml": "45ee9f2baabd6e9868811fb2048c5b0f52aed524cc6ffad453a7b7bfb060b2e5",
+}
+GOLDEN_AUDIT_SHA256 = "46bbd62d1b3bfaec7c3f2870d168c1452e13868565662fad2c7be7daaf9dd846"
+
+
+def payload_digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def shipped_payload(tmp_path, command, name, filename):
+    """command's JSON output on a shipped config, without the config echo."""
+    assert main([command, str(CONFIG_DIR / name), "-o", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / filename).read_text())
+    del payload["config"]
+    return payload
 
 
 def write_config(path, **sections):
@@ -141,6 +162,10 @@ class TestRun:
         assert main(["run", time_varying_ring_config(tmp_path, tmp_path / "out")]) == 0
         digest = hashlib.sha256((tmp_path / "out" / "report.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_TV_RING_SHA256
+
+    def test_shipped_admissibility_section_is_pinned(self, tmp_path):
+        payload = shipped_payload(tmp_path, "run", "run_wgt.yaml", "report.json")
+        assert payload_digest(payload["admissibility"]) == GOLDEN_ADMISSIBILITY_SHA256
 
     def test_divergent_run_exits_3(self, tmp_path, capsys):
         cfg = baseline_config(tmp_path, tmp_path / "out", alpha=0.01)
@@ -475,10 +500,16 @@ class TestAttack:
         # detector reports the attempt as not yet stabilized.
         assert code == 4
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ATTACK_SHA256))
+    def test_shipped_attack_payload_is_pinned(self, tmp_path, name):
+        payload = shipped_payload(tmp_path, "attack", name, "attack.json")
+        assert payload_digest(payload) == GOLDEN_ATTACK_SHA256[name]
+
 
 def assert_refused_before_allocating(monkeypatch, capsys, command, cfg):
     """command on cfg exits 2, naming the size and the remedy, without
-    drawing the first state or allocating more than 10 MiB."""
+    drawing the first state, allocating more than 10 MiB or creating the
+    output directory "out" next to cfg."""
     def started(*args, **kwargs):
         raise AssertionError("the run started")
 
@@ -492,6 +523,7 @@ def assert_refused_before_allocating(monkeypatch, capsys, command, cfg):
     assert peak < 10 * 2**20
     err = capsys.readouterr().err
     assert "GiB" in err and "lower algorithm.K" in err
+    assert not (Path(cfg).parent / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["attack", "audit"])
@@ -527,6 +559,10 @@ class TestAudit:
         assert two["gradient"]["nullity"] == 18
         assert two["gradient_consistency_residual"] <= 1e-12
         assert "nullity" in capsys.readouterr().out
+
+    def test_shipped_audit_payload_is_pinned(self, tmp_path):
+        payload = shipped_payload(tmp_path, "audit", "audit_two_agent.yaml", "audit.json")
+        assert payload_digest(payload) == GOLDEN_AUDIT_SHA256
 
     def test_structural_only_for_larger_networks(self, tmp_path):
         out = tmp_path / "out"

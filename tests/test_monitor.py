@@ -8,7 +8,6 @@ import pytest
 from wgtsim.engine import (
     ConstantLambda,
     LambdaSchedule,
-    NetworkState,
     Scenario,
     StepSizes,
     run,
@@ -55,11 +54,9 @@ class TestMetricVector:
         point = x_star + np.array([0.3, -0.2])
         x = np.tile(point, (6, 1))
         y = np.random.default_rng(1).normal(size=(6, 2))
-        mv = metric_vector(NetworkState(5, x, y), x_star, phi, np.full(6, 1 / 6))
-        assert mv.s2 == pytest.approx(0.0, abs=1e-15)
-        assert mv.s1 == pytest.approx(np.hypot(0.3, 0.2), rel=1e-12)
-        assert mv.weighting == "phi"
-        assert mv.k == 5
+        s1, s2, _ = metric_vector(x, y, x_star, phi, np.full(6, 1 / 6))
+        assert s2 == pytest.approx(0.0, abs=1e-15)
+        assert s1 == pytest.approx(np.hypot(0.3, 0.2), rel=1e-12)
 
     def test_aligned_trackers_have_zero_deviation(self, canonical):
         _, ens, A, B, phi = canonical
@@ -67,8 +64,8 @@ class TestMetricVector:
         v = np.array([0.7, -1.1])
         y = np.outer(pi, v)
         x = np.random.default_rng(2).normal(size=(6, 2))
-        mv = metric_vector(NetworkState(1, x, y), ens.global_optimum(), phi, pi)
-        assert mv.s3 == pytest.approx(0.0, abs=1e-15)
+        _, _, s3 = metric_vector(x, y, ens.global_optimum(), phi, pi)
+        assert s3 == pytest.approx(0.0, abs=1e-15)
 
     def test_dense_recomputation(self, canonical):
         _, ens, A, B, phi = canonical
@@ -78,24 +75,22 @@ class TestMetricVector:
         pi = rng.uniform(0.1, 1.0, 6)
         pi /= pi.sum()
         x_star = ens.global_optimum()
-        mv = metric_vector(NetworkState(9, x, y), x_star, phi, pi)
+        s1, s2, s3 = metric_vector(x, y, x_star, phi, pi)
         xbar = phi @ x
-        assert mv.s1 == pytest.approx(np.linalg.norm(xbar - x_star), rel=1e-14)
-        assert mv.s2 == pytest.approx(np.linalg.norm(x - xbar[None, :]), rel=1e-14)
+        assert s1 == pytest.approx(np.linalg.norm(xbar - x_star), rel=1e-14)
+        assert s2 == pytest.approx(np.linalg.norm(x - xbar[None, :]), rel=1e-14)
         y_hat = y.sum(axis=0)
-        assert mv.s3 == pytest.approx(
+        assert s3 == pytest.approx(
             np.linalg.norm(y - np.outer(pi, y_hat)), rel=1e-14
         )
-        assert np.array_equal(mv.as_array(), [mv.s1, mv.s2, mv.s3])
 
     def test_uniform_fallback_without_phi(self, canonical):
         _, ens, *_ = canonical
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 2))
         y = rng.normal(size=(6, 2))
-        mv = metric_vector(NetworkState(1, x, y), ens.global_optimum(), None, np.full(6, 1 / 6))
-        assert mv.weighting == "uniform"
-        assert mv.s1 == pytest.approx(
+        s1, _, _ = metric_vector(x, y, ens.global_optimum(), None, np.full(6, 1 / 6))
+        assert s1 == pytest.approx(
             np.linalg.norm(x.mean(axis=0) - ens.global_optimum()), rel=1e-14
         )
 
@@ -134,7 +129,6 @@ class TestContractionEstimates:
             np.linalg.norm(A - np.eye(6), 2), rel=1e-14
         )
         assert est.phi_norm == pytest.approx(np.linalg.norm(phi), rel=1e-14)
-        assert est.delta_AB == 1.0 and est.delta_B2 == 1.0
 
     def test_rejects_unknown_flavor(self, canonical):
         _, _, A, B, phi = canonical
@@ -165,18 +159,18 @@ class TestErrorPropagation:
             [
                 ac * ens.L_hat * est.sigma_A * est.pi_norm * lam_k,
                 est.sigma_A * (1.0 + rn * ac * ens.L * est.pi_norm * lam_k),
-                ac * est.delta_AB * est.sigma_A,
+                ac * est.sigma_A,
             ],
             [
-                rn * ens.L * est.delta_B2 * est.xi * (cross + dlam),
-                ens.L * est.delta_B2 * est.xi
+                rn * ens.L * est.xi * (cross + dlam),
+                ens.L * est.xi
                 * (cross + lam_next * est.A_minus_I_norm + dlam),
-                est.sigma_B + ac * ens.L * est.delta_B2 * est.xi * lam_next * est.A_norm,
+                est.sigma_B + ac * ens.L * est.xi * lam_next * est.A_norm,
             ],
         ])
         assert np.allclose(M, expected, rtol=1e-14, atol=0)
         assert d[0] == 0.0 and d[1] == 0.0
-        assert d[2] == pytest.approx(est.delta_B2 * est.xi * dlam * g0, rel=1e-14)
+        assert d[2] == pytest.approx(est.xi * dlam * g0, rel=1e-14)
         assert (M >= 0).all()
 
     def test_precondition_violation_warns(self, canonical):
@@ -239,7 +233,7 @@ class TestOneStepBound:
         alphas = np.full(6, alpha)
 
         s = np.array([
-            metric_vector(NetworkState(t + 1, xs[t], ys[t]), x_star, phi, pis[t]).as_array()
+            metric_vector(xs[t], ys[t], x_star, phi, pis[t])
             for t in range(K + 1)
         ])
         worst = -np.inf

@@ -4,7 +4,8 @@ The graph's adjacency structure is checked against a brute-force scan of
 its edge list, the weight matrices against a reference builder that scans
 the edges once per agent, the step kernel against a per-edge row scatter,
 and the engine's run against replay, the tracker-mass identity and the
-public definitions of its metrics row.
+public definitions of its metrics row. On two-agent rings the takeover
+audits' numeric ranks are checked against their structural counts.
 """
 
 from types import SimpleNamespace
@@ -13,10 +14,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wgtsim.adversary import TwoAgentObservations, audit_gradient_system, audit_state_system
 from wgtsim.engine import (
-    LambdaSchedule, NetworkState, Scenario, StepSizes, _plans, _step, replay, run,
+    LambdaSchedule, Scenario, StepSizes, _plans, _step, replay, run,
 )
-from wgtsim.graph import DirectedGraph
+from wgtsim.graph import DirectedGraph, directed_ring
 from wgtsim.monitor import metric_vector
 from wgtsim.objective import make_sensor_scenario
 from wgtsim.weights import WeightSchedule, phi_static
@@ -220,12 +222,48 @@ def test_metrics_row_equals_the_public_definitions(graph, mode, weight_mode, p, 
     x_star = report.x_star
     init_dist = float(np.linalg.norm(report.states[0][0] - x_star) ** 2)
     for t, (x, y) in enumerate(zip(*report.states)):
-        mv = metric_vector(NetworkState(t + 1, x, y), x_star, phi, report.pis[t])
+        _, s2, s3 = metric_vector(x, y, x_star, phi, report.pis[t])
         g = scen.ensemble.gradients(x)
         w = scen.lam.value(t + 1) if mode == "wgt" else 1.0
         assert report.residuals[t] == float(np.linalg.norm(x - x_star) ** 2) / init_dist
-        assert report.consensus_errors[t] == mv.s2
-        assert report.tracking_errors[t] == mv.s3
+        assert report.consensus_errors[t] == s2
+        assert report.tracking_errors[t] == s3
         assert report.lambdas[t] == w
         assert report.conservation_residuals[t] == np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0))
         assert report.grad_norms[t] == np.linalg.norm(g)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["static", "time-varying"]),
+    st.integers(1, 6),
+    st.integers(2, 10),
+    st.integers(0, 2**16),
+    st.lists(st.floats(0.01, 0.5), min_size=2, max_size=2),
+)
+def test_two_agent_audits_have_their_structural_rank(weight_mode, p, K, seed, step_fractions):
+    # agent 2 covers the whole neighborhood of agent 1, the victim
+    graph = directed_ring(2)
+    ensemble = make_sensor_scenario(n=2, d=3, p=p, seed=seed)
+    scen = Scenario(
+        graph=graph,
+        weights=WeightSchedule(graph, mode=weight_mode, a_floor=A_FLOOR, b_floor=B_FLOOR, seed=seed),
+        ensemble=ensemble,
+        steps=StepSizes(np.array(step_fractions) / ensemble.L),
+        lam=LambdaSchedule(e=0.8, m=10.0),
+        init_seed=seed,
+    )
+    report, tr = run(scen, "wgt", K, record_states=True)
+    xs, ys = report.states
+    obs = TwoAgentObservations.from_transcript(tr, honest=1, attacker=2)
+    mixing_weights = np.array([scen.weights.matrices_at(k)[0][0, 1] for k in range(1, K)])
+    gradients = np.array([ensemble.gradients(xs[k])[0] for k in range(1, K + 1)])
+    state = audit_state_system(K, p, obs, truth=(xs[1:K, 0], mixing_weights))
+    gradient = audit_gradient_system(
+        K, p, obs, lam=scen.lam, y_final=ys[K, 0], truth=(ys[1:K, 0], gradients)
+    )
+    for numeric, structural in ((state, audit_state_system(K, p)),
+                                (gradient, audit_gradient_system(K, p))):
+        assert numeric.method == "numeric"
+        assert (numeric.rank, numeric.nullity) == (structural.rank, structural.nullity)
+        assert numeric.consistency_residual <= 1e-12
