@@ -8,81 +8,18 @@ together with the attacker models, linear-system audits, and
 convergence-theory monitors needed to measure both sides of that trade.
 """
 
-from .adversary import (
-    AttackReport,
-    AuditReport,
-    TwoAgentObservations,
-    audit_gradient_system,
-    audit_state_system,
-    infer_gradient,
-    z_stream,
-)
-from .engine import (
-    ConstantLambda,
-    LambdaSchedule,
-    NetworkState,
-    RunReport,
-    Scenario,
-    StepSizes,
-    Transcript,
-    replay,
-    run,
-)
-from .errors import ConfigError, DivergenceError, NumericalError
-from .graph import DirectedGraph, directed_ring, sensor_network_6
-from .monitor import (
-    AdmissibilityReport,
-    ContractionEstimates,
-    admissibility_report,
-    det_criterion,
-    error_propagation,
-    limit_propagation,
-    metric_vector,
-    scalar_recursion_bounds,
-    spectral_radius,
-)
-from .objective import ObjectiveEnsemble, QuadraticObjective, make_sensor_scenario
-from .weights import WeightSchedule, contraction_radii, phi_static
+from . import adversary, engine, errors, graph, monitor, objective, weights
+from .adversary import *  # noqa: F403
+from .engine import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .monitor import *  # noqa: F403
+from .objective import *  # noqa: F403
+from .weights import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackReport",
-    "AuditReport",
-    "TwoAgentObservations",
-    "audit_gradient_system",
-    "audit_state_system",
-    "infer_gradient",
-    "z_stream",
-    "ConstantLambda",
-    "LambdaSchedule",
-    "NetworkState",
-    "RunReport",
-    "Scenario",
-    "StepSizes",
-    "Transcript",
-    "replay",
-    "run",
-    "ConfigError",
-    "DivergenceError",
-    "NumericalError",
-    "DirectedGraph",
-    "directed_ring",
-    "sensor_network_6",
-    "AdmissibilityReport",
-    "ContractionEstimates",
-    "admissibility_report",
-    "det_criterion",
-    "error_propagation",
-    "limit_propagation",
-    "metric_vector",
-    "scalar_recursion_bounds",
-    "spectral_radius",
-    "QuadraticObjective",
-    "ObjectiveEnsemble",
-    "make_sensor_scenario",
-    "WeightSchedule",
-    "contraction_radii",
-    "phi_static",
-    "__version__",
-]
+    name for module in (adversary, engine, errors, graph, monitor, objective, weights)
+    for name in module.__all__
+] + ["__version__"]

@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .adversary import (
     audit_state_system,
     infer_gradient,
 )
-from .engine import LambdaSchedule, Scenario, StepSizes, check_steps, replay, run
+from .engine import MODES, LambdaSchedule, Scenario, StepSizes, check_steps, check_tables, replay, run
 from .errors import ConfigError, DivergenceError, NumericalError
 from .graph import DirectedGraph, directed_ring, sensor_network_6
 from .monitor import admissibility_report
@@ -47,24 +48,6 @@ SWEEP_CSV_HEADER = (
 )
 
 _TOP_KEYS = {"schema", "graph", "weights", "objective", "algorithm", "report", "sweep", "attack", "audit"}
-_GRAPH_KEYS = {"preset", "n", "edges"}
-_WEIGHT_KEYS = {"mode", "a_floor", "b_floor", "seed"}
-_OBJECTIVE_KEYS = {"n", "d", "p", "r", "seed"}
-_ALGO_KEYS = {"mode", "alpha", "lambda", "K", "init_seed"}
-_LAMBDA_KEYS = {"e", "m"}
-_REPORT_KEYS = {
-    "output_dir",
-    "residual_threshold",
-    "record_transcript",
-    "admissibility",
-    "admissibility_horizon",
-    "divergence_cap",
-}
-_SWEEP_KEYS = {"alpha", "e", "seeds", "K"}
-_SWEEP_ALPHA_KEYS = {"grid", "e", "m"}
-_SWEEP_E_KEYS = {"grid", "alpha", "m"}
-_ATTACK_KEYS = {"target", "stabilization_tol", "window"}
-_AUDIT_KEYS = {"K", "honest", "attacker"}
 
 # libyaml's parser where PyYAML was built with it: the same dicts, parsed 4-7x faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -88,13 +71,15 @@ def _section(cfg: dict, name: str, allowed: set, required: bool = True) -> dict:
     return sec
 
 
-def _as_float(value, where: str) -> float:
+def _as_float(value, where: str, lo: float | None = None) -> float:
     try:
         x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    if lo is not None and x < lo:
+        raise ConfigError(f"{where} must be >= {lo:g}, got {x}")
     return x
 
 
@@ -117,6 +102,45 @@ def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, got {value!r}")
     return value
+
+
+def _as_text(value, where: str) -> str:
+    return str(value)
+
+
+_as_seed = partial(_as_int, lo=0)
+_as_count = partial(_as_int, lo=1)
+
+# The scalar keys of these sections: each one's default and the check that
+# its value, or the flag that overrides it, must pass. A default of None is
+# filled in by resolve (objective.n: the graph's agent count). The weights and
+# objective keys are the arguments of WeightSchedule and make_sensor_scenario.
+_FIELDS = {
+    "weights": {"mode": ("static", _as_text), "a_floor": (0.1, _as_float),
+                "b_floor": (0.1, _as_float), "seed": (0, _as_seed)},
+    "objective": {"n": (None, _as_int), "d": (3, _as_count), "p": (2, _as_count),
+                  "r": (0.01, partial(_as_float, lo=0.0)), "seed": (0, _as_seed)},
+    "algorithm": {"K": (1, _as_count), "init_seed": (0, _as_seed)},
+    "report": {"output_dir": (".", _as_text), "residual_threshold": (1e-6, _as_float),
+               "record_transcript": (False, _as_bool), "admissibility": (False, _as_bool),
+               "admissibility_horizon": (200, _as_count), "divergence_cap": (1e12, _as_float)},
+}
+# override flag -> the (section, key) it replaces, and its argparse type
+_FLAGS = {
+    "--threshold": ("report", "residual_threshold", float),
+    "--objective-seed": ("objective", "seed", int),
+    "--init-seed": ("algorithm", "init_seed", int),
+    "--weight-seed": ("weights", "seed", int),
+}
+
+
+def _fields(cfg: dict, name: str, required: bool = True, extra: tuple[str, ...] = ()) -> dict:
+    """Section name's scalar keys, checked or defaulted by _FIELDS; extra: keys the caller reads."""
+    sec = _section(cfg, name, _FIELDS[name].keys() | extra, required)
+    return {
+        key: check(sec[key], f"{name}.{key}") if key in sec else default
+        for key, (default, check) in _FIELDS[name].items()
+    }
 
 
 def _check_law(mode: str, alphas: list[float], lam: dict | None, where: str) -> None:
@@ -148,7 +172,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def build_graph(cfg: dict) -> DirectedGraph:
-    sec = _section(cfg, "graph", _GRAPH_KEYS)
+    sec = _section(cfg, "graph", {"preset", "n", "edges"})
     preset = sec.get("preset")
     if preset is not None:
         if "edges" in sec or "n" in sec:
@@ -184,21 +208,20 @@ def resolve(
     build_graph(cfg), if the caller has built it already."""
     if graph is None:
         graph = build_graph(cfg)
-    wsec = _section(cfg, "weights", _WEIGHT_KEYS, required=False)
-    osec = _section(cfg, "objective", _OBJECTIVE_KEYS)
-    asec = _section(cfg, "algorithm", _ALGO_KEYS)
-    rsec = _section(cfg, "report", _REPORT_KEYS, required=False)
+    weights = _fields(cfg, "weights", required=False)
+    objective = _fields(cfg, "objective")
+    algorithm = _fields(cfg, "algorithm", extra=("mode", "alpha", "lambda"))
+    report = _fields(cfg, "report", required=False)
+    asec = cfg["algorithm"]
 
-    obj_n = _as_int(osec.get("n", graph.n), "objective.n")
-    if obj_n != graph.n:
-        raise ConfigError(f"objective.n = {obj_n} but the graph has {graph.n} agents")
+    if objective["n"] not in (None, graph.n):
+        raise ConfigError(f"objective.n = {objective['n']} but the graph has {graph.n} agents")
+    objective["n"] = graph.n
 
     mode = asec.get("mode")
-    if mode not in ("ab", "wgt"):
-        raise ConfigError(f"algorithm.mode must be 'ab' or 'wgt', got {mode!r}")
+    if mode not in MODES:
+        raise ConfigError(f"algorithm.mode must be one of {MODES}, got {mode!r}")
     alpha = asec.get("alpha")
-    if alpha is None:
-        raise ConfigError("algorithm.alpha is required")
     if isinstance(alpha, list):
         if len(alpha) != graph.n:
             raise ConfigError(f"algorithm.alpha lists {len(alpha)} step sizes for {graph.n} agents")
@@ -211,66 +234,25 @@ def resolve(
         lsec = asec.get("lambda")
         if not isinstance(lsec, dict):
             raise ConfigError("algorithm.lambda with fields e, m is required in wgt mode")
-        _check_keys(lsec, _LAMBDA_KEYS, "algorithm.lambda")
-        e = _as_float(lsec.get("e", 0.0), "algorithm.lambda.e")
-        m = _as_float(lsec.get("m", 0.0), "algorithm.lambda.m")
-        lam = {"e": e, "m": m}
+        _check_keys(lsec, {"e", "m"}, "algorithm.lambda")
+        lam = {key: _as_float(lsec.get(key, 0.0), f"algorithm.lambda.{key}") for key in ("e", "m")}
     _check_law(mode, alpha_values, lam, "algorithm")
-    K = _as_int(asec.get("K", 1), "algorithm.K", lo=1)
-    r = _as_float(osec.get("r", 0.01), "objective.r")
-    if r < 0:
-        raise ConfigError(f"objective.r must be >= 0, got {r}")
 
     resolved = {
         "schema": SCHEMA_VERSION,
         "library": {"name": "wgtsim", "version": __version__, "rng_family": RNG_FAMILY},
         "graph": {"n": graph.n, "edges": [list(edge) for edge in graph.edges]},
-        "weights": {
-            "mode": wsec.get("mode", "static"),
-            "a_floor": _as_float(wsec.get("a_floor", 0.1), "weights.a_floor"),
-            "b_floor": _as_float(wsec.get("b_floor", 0.1), "weights.b_floor"),
-            "seed": _as_int(wsec.get("seed", 0), "weights.seed", lo=0),
-        },
-        "objective": {
-            "n": obj_n,
-            "d": _as_int(osec.get("d", 3), "objective.d", lo=1),
-            "p": _as_int(osec.get("p", 2), "objective.p", lo=1),
-            "r": r,
-            "seed": _as_int(osec.get("seed", 0), "objective.seed", lo=0),
-        },
-        "algorithm": {
-            "mode": mode,
-            "alpha": alpha_values,
-            "lambda": lam,
-            "K": K,
-            "init_seed": _as_int(asec.get("init_seed", 0), "algorithm.init_seed", lo=0),
-        },
-        "report": {
-            "output_dir": str(rsec.get("output_dir", ".")),
-            "residual_threshold": _as_float(
-                rsec.get("residual_threshold", 1e-6), "report.residual_threshold"
-            ),
-            "record_transcript": _as_bool(
-                rsec.get("record_transcript", False), "report.record_transcript"
-            ),
-            "admissibility": _as_bool(rsec.get("admissibility", False), "report.admissibility"),
-            "admissibility_horizon": _as_int(
-                rsec.get("admissibility_horizon", 200), "report.admissibility_horizon", lo=1
-            ),
-            "divergence_cap": _as_float(rsec.get("divergence_cap", 1e12), "report.divergence_cap"),
-        },
+        "weights": weights,
+        "objective": objective,
+        "algorithm": {"mode": mode, "alpha": alpha_values, "lambda": lam, **algorithm},
+        "report": report,
     }
-    if overrides is not None:
-        if getattr(overrides, "output_dir", None):
-            resolved["report"]["output_dir"] = overrides.output_dir
-        if getattr(overrides, "threshold", None) is not None:
-            resolved["report"]["residual_threshold"] = _as_float(overrides.threshold, "--threshold")
-        if getattr(overrides, "objective_seed", None) is not None:
-            resolved["objective"]["seed"] = _as_int(overrides.objective_seed, "--objective-seed", 0)
-        if getattr(overrides, "init_seed", None) is not None:
-            resolved["algorithm"]["init_seed"] = _as_int(overrides.init_seed, "--init-seed", 0)
-        if getattr(overrides, "weight_seed", None) is not None:
-            resolved["weights"]["seed"] = _as_int(overrides.weight_seed, "--weight-seed", 0)
+    if getattr(overrides, "output_dir", None):
+        report["output_dir"] = overrides.output_dir
+    for flag, (section, key, _) in _FLAGS.items():
+        value = getattr(overrides, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            resolved[section][key] = _FIELDS[section][key][1](value, flag)
     return resolved
 
 
@@ -282,12 +264,8 @@ def build_scenario(
     if graph is None:
         g = resolved["graph"]
         graph = DirectedGraph(g["n"], tuple((a, b) for a, b in g["edges"]))
-    w = resolved["weights"]
-    weights = WeightSchedule(
-        graph, mode=w["mode"], a_floor=w["a_floor"], b_floor=w["b_floor"], seed=w["seed"]
-    )
-    o = resolved["objective"]
-    ensemble = make_sensor_scenario(n=o["n"], d=o["d"], p=o["p"], r=o["r"], seed=o["seed"])
+    weights = WeightSchedule(graph, **resolved["weights"])
+    ensemble = make_sensor_scenario(**resolved["objective"])
     a = resolved["algorithm"]
     lam = None
     if a["lambda"] is not None:
@@ -386,25 +364,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(base: Scenario, resolved: dict, kind: str, alpha: float, e: float, m: float,
-                seed: int, K: int) -> dict:
+def _sweep_cell(base: Scenario, resolved: dict, params: dict, seed: int, K: int) -> dict:
     # the cells share the graph and the weight schedule
-    o, threshold = resolved["objective"], resolved["report"]["residual_threshold"]
+    threshold = resolved["report"]["residual_threshold"]
     scenario = dataclasses.replace(
         base,
-        ensemble=make_sensor_scenario(n=o["n"], d=o["d"], p=o["p"], r=o["r"], seed=seed),
-        steps=StepSizes.homogeneous(alpha, base.graph.n),
-        lam=LambdaSchedule(e, m),
+        ensemble=make_sensor_scenario(**{**resolved["objective"], "seed": seed}),
+        steps=StepSizes.homogeneous(params["alpha"], base.graph.n),
+        lam=LambdaSchedule(params["e"], params["m"]),
         init_seed=seed,
     )
-    cell = {
-        "kind": kind,
-        "alpha": alpha,
-        "e": e,
-        "m": m,
-        "objective_seed": seed,
-        "init_seed": seed,
-    }
+    cell = {**params, "objective_seed": seed, "init_seed": seed}
     try:
         report, _ = run(scenario, "wgt", K, record_transcript=False, residual_threshold=threshold,
                         divergence_cap=resolved["report"]["divergence_cap"], stop_when_below=threshold)
@@ -420,82 +390,78 @@ def _sweep_cell(base: Scenario, resolved: dict, kind: str, alpha: float, e: floa
     return cell
 
 
-def _monotone_votes(cells: list[dict], grid_key: str, seeds: list[int], nonincreasing: bool) -> list[bool]:
-    """One vote per seed: are iterations-to-threshold monotone along the grid?
+def _monotone_votes(cells: list[dict], kind: str, seeds: list[int], nonincreasing: bool) -> list[bool]:
+    """One vote per seed: are iterations-to-threshold monotone along the grid of kind?
 
     Cells that never reached the threshold (or diverged) are censored to
     +inf, which can only break nonincreasing orderings and never fake them.
     """
     votes = []
     for seed in seeds:
-        row = [c for c in cells if c["objective_seed"] == seed]
-        row.sort(key=lambda c: c[grid_key])
+        row = [c for c in cells if c["kind"] == kind and c["objective_seed"] == seed]
+        row.sort(key=lambda c: c[kind])
         its = [
             float("inf") if c["iterations_to_threshold"] is None else c["iterations_to_threshold"]
             for c in row
         ]
-        if nonincreasing:
-            ok = all(b <= a for a, b in zip(its, its[1:]))
-        else:
-            ok = all(b >= a for a, b in zip(its, its[1:]))
-        votes.append(ok)
+        pairs = zip(its, its[1:]) if nonincreasing else zip(its[1:], its)
+        votes.append(all(b <= a for a, b in pairs))
     return votes
+
+
+# sweep kind -> (the parameters its cells hold fixed, the summary key that
+# records them, whether iterations to threshold may only fall along its grid)
+_SWEEP_KINDS = {
+    "alpha": (("e", "m"), "alpha_fixed_lambda", True),
+    "e": (("alpha", "m"), "e_fixed", False),
+}
+
+
+def _sweep_plan(cfg: dict, resolved: dict, graph: DirectedGraph) -> tuple[dict, list[dict]]:
+    """Check the sweep section. Returns the summary's record of the plan and
+    the parameters (kind, alpha, e, m) of one seed's cells, kind by kind."""
+    algorithm = resolved["algorithm"]
+    if algorithm["mode"] != "wgt":
+        raise ConfigError("sweeps cover the weighted-tracking parameter rules; set algorithm.mode: wgt")
+    sec = _section(cfg, "sweep", {"seeds", "K", *_SWEEP_KINDS})
+    seeds = sec.get("seeds", [resolved["objective"]["seed"]])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("sweep.seeds must be a non-empty list")
+    seeds = [_as_seed(s, "sweep.seeds[i]") for s in seeds]
+    K = _as_count(sec.get("K", algorithm["K"]), "sweep.K")
+    check_tables(graph, resolved["objective"]["p"], K, key="sweep.K")
+    summary = {"threshold": resolved["report"]["residual_threshold"], "seeds": seeds, "K": K}
+    defaults = {"alpha": algorithm["alpha"][0], **algorithm["lambda"]}
+    params = []
+    for kind, (held, fixed_key, _) in _SWEEP_KINDS.items():
+        ksec = sec.get(kind) or {}
+        if not isinstance(ksec, dict):
+            raise ConfigError(f"sweep.{kind} must be a mapping with a grid")
+        _check_keys(ksec, {"grid", *held}, f"sweep.{kind}")
+        grid = summary[f"{kind}_grid"] = _as_grid(ksec.get("grid", []), f"sweep.{kind}.grid")
+        fixed = summary[fixed_key] = {
+            name: _as_float(ksec.get(name, defaults[name]), f"sweep.{kind}.{name}") for name in held
+        }
+        for value in grid:
+            cell = {"kind": kind, **fixed, kind: value}
+            _check_law("wgt", [cell["alpha"]], cell, f"sweep.{kind}")
+            params.append(cell)
+    if not params:
+        raise ConfigError("sweep: empty grid (need sweep.alpha.grid and/or sweep.e.grid)")
+    return summary, params
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, resolved, graph = _load(args)
-    if resolved["algorithm"]["mode"] != "wgt":
-        raise ConfigError("sweeps cover the weighted-tracking parameter rules; set algorithm.mode: wgt")
-    sec = _section(cfg, "sweep", _SWEEP_KEYS)
-    lam0 = resolved["algorithm"]["lambda"]
-    asweep = sec.get("alpha") or {}
-    esweep = sec.get("e") or {}
-    if not isinstance(asweep, dict) or not isinstance(esweep, dict):
-        raise ConfigError("sweep.alpha and sweep.e must be mappings with a grid")
-    _check_keys(asweep, _SWEEP_ALPHA_KEYS, "sweep.alpha")
-    _check_keys(esweep, _SWEEP_E_KEYS, "sweep.e")
-    alphas = _as_grid(asweep.get("grid", []), "sweep.alpha.grid")
-    es = _as_grid(esweep.get("grid", []), "sweep.e.grid")
-    if not alphas and not es:
-        raise ConfigError("sweep: empty grid (need sweep.alpha.grid and/or sweep.e.grid)")
-    alpha_fixed_e = _as_float(asweep.get("e", lam0["e"]), "sweep.alpha.e")
-    alpha_fixed_m = _as_float(asweep.get("m", lam0["m"]), "sweep.alpha.m")
-    e_fixed_alpha = _as_float(
-        esweep.get("alpha", resolved["algorithm"]["alpha"][0]), "sweep.e.alpha"
-    )
-    e_fixed_m = _as_float(esweep.get("m", lam0["m"]), "sweep.e.m")
-    seeds = sec.get("seeds", [resolved["objective"]["seed"]])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("sweep.seeds must be a non-empty list")
-    seeds = [_as_int(s, "sweep.seeds[i]", lo=0) for s in seeds]
-    K = _as_int(sec.get("K", resolved["algorithm"]["K"]), "sweep.K", lo=1)
-    params = [("alpha", a, alpha_fixed_e, alpha_fixed_m) for a in alphas]
-    params += [("e", e_fixed_alpha, e, e_fixed_m) for e in es]
-    for kind, a, e, m in params:
-        _check_law("wgt", [a], {"e": e, "m": m}, f"sweep.{kind}")
-
+    summary, params = _sweep_plan(cfg, resolved, graph)
+    seeds = summary["seeds"]
     base = build_scenario(resolved, graph)[0]
-    cells = [_sweep_cell(base, resolved, *cell, seed, K) for seed in seeds for cell in params]
-
-    alpha_cells = [c for c in cells if c["kind"] == "alpha"]
-    e_cells = [c for c in cells if c["kind"] == "e"]
-    summary = {
-        "threshold": resolved["report"]["residual_threshold"],
-        "seeds": seeds,
-        "K": K,
-        "alpha_grid": alphas,
-        "alpha_fixed_lambda": {"e": alpha_fixed_e, "m": alpha_fixed_m},
-        "e_grid": es,
-        "e_fixed": {"alpha": e_fixed_alpha, "m": e_fixed_m},
-    }
-    if alphas:
-        votes = _monotone_votes(alpha_cells, "alpha", seeds, nonincreasing=True)
-        summary["alpha_monotone_votes"] = votes
-        summary["alpha_monotone_majority"] = sum(votes) * 2 > len(votes)
-    if es:
-        votes = _monotone_votes(e_cells, "e", seeds, nonincreasing=False)
-        summary["e_monotone_votes"] = votes
-        summary["e_monotone_majority"] = sum(votes) * 2 > len(votes)
+    cells = [_sweep_cell(base, resolved, param, seed, summary["K"]) for seed in seeds for param in params]
+    for kind, (_, _, nonincreasing) in _SWEEP_KINDS.items():
+        if summary[f"{kind}_grid"]:
+            votes = _monotone_votes(cells, kind, seeds, nonincreasing)
+            summary[f"{kind}_monotone_votes"] = votes
+            summary[f"{kind}_monotone_majority"] = sum(votes) * 2 > len(votes)
 
     out = Path(resolved["report"]["output_dir"])
     lines = [SWEEP_CSV_HEADER]
@@ -550,14 +516,41 @@ def _numeric_audits(scenario: Scenario, transcript, honest: int, attacker: int, 
     }
 
 
+def _structural_audits(K: int, p: int) -> dict:
+    """The structural state audit (over at least two iterations) and gradient audit."""
+    return {
+        "state_structural": audit_state_system(max(K, 2), p).to_dict(),
+        "gradient_structural": audit_gradient_system(K, p).to_dict(),
+    }
+
+
+def _two_agent(resolved: dict, required: bool = False) -> bool:
+    """Whether the numeric two-agent audit runs: weighted tracking between two agents, over
+    at least the two iterations it stacks. A shorter run skips it, or is refused if required."""
+    algorithm = resolved["algorithm"]
+    if resolved["graph"]["n"] != 2 or algorithm["mode"] != "wgt":
+        return False
+    if algorithm["K"] < 2 and required:
+        raise ConfigError("the two-agent audit needs algorithm.K >= 2")
+    return algorithm["K"] >= 2
+
+
+def _attack_options(cfg: dict, resolved: dict, graph: DirectedGraph,
+                    target: int | None = None) -> tuple[int, float, int]:
+    """Check the attack section, target being --target if given. Returns
+    (target, stabilization_tol, window)."""
+    sec = _section(cfg, "attack", {"target", "stabilization_tol", "window"}, required=False)
+    target = sec.get("target", 1) if target is None else target
+    target = _as_int(target, "attack target (--target or attack.target)", 1, graph.n)
+    tol = _as_float(sec.get("stabilization_tol", 1e-10), "attack.stabilization_tol")
+    window = _as_count(sec.get("window", 50), "attack.window")
+    check_tables(graph, resolved["objective"]["p"], resolved["algorithm"]["K"], record_transcript=True)
+    return target, tol, window
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg, resolved, graph = _load(args)
-    sec = _section(cfg, "attack", _ATTACK_KEYS, required=False)
-    n = resolved["graph"]["n"]
-    target = sec.get("target", 1) if args.target is None else args.target
-    target = _as_int(target, "attack target (--target or attack.target)", 1, n)
-    tol = _as_float(sec.get("stabilization_tol", 1e-10), "attack.stabilization_tol")
-    window = _as_int(sec.get("window", 50), "attack.window", lo=1)
+    target, tol, window = _attack_options(cfg, resolved, graph, args.target)
 
     scenario, report, transcript = _execute(resolved, graph, record_transcript=True)
     attack = infer_gradient(
@@ -568,13 +561,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
         stabilization_tol=tol,
         window=window,
     )
-    p = resolved["objective"]["p"]
     audit_K = max(2, min(10, transcript.K))
-    audits = {
-        "state_structural": audit_state_system(audit_K, p).to_dict(),
-        "gradient_structural": audit_gradient_system(audit_K, p).to_dict(),
-    }
-    if n == 2 and report.mode == "wgt" and transcript.K >= 2:
+    audits = _structural_audits(audit_K, resolved["objective"]["p"])
+    if _two_agent(resolved):
         other = 2 if target == 1 else 1
         audits["two_agent"] = _numeric_audits(scenario, transcript, target, other, audit_K)
 
@@ -595,26 +584,28 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0 if attack.conclusive else 4
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    cfg, resolved, graph = _load(args)
-    sec = _section(cfg, "audit", _AUDIT_KEYS, required=False)
-    n = resolved["graph"]["n"]
-    two_agent = n == 2 and resolved["algorithm"]["mode"] == "wgt"
+def _audit_options(cfg: dict, resolved: dict, graph: DirectedGraph) -> tuple[int, int, int, bool]:
+    """Check the audit section. Returns (K, honest, attacker, whether the
+    numeric two-agent audit runs)."""
+    sec = _section(cfg, "audit", {"K", "honest", "attacker"}, required=False)
+    two_agent = _two_agent(resolved, required=True)
     # the numeric two-agent audit stacks at least two iterations of the run
     K_audit = _as_int(sec.get("K", 3), "audit.K", lo=2 if two_agent else 1)
-    if two_agent and resolved["algorithm"]["K"] < 2:
-        raise ConfigError("the two-agent audit needs algorithm.K >= 2")
-    honest = _as_int(sec.get("honest", 1), "audit.honest", 1, n)
-    attacker = _as_int(sec.get("attacker", 2), "audit.attacker", 1, n)
+    honest = _as_int(sec.get("honest", 1), "audit.honest", 1, graph.n)
+    attacker = _as_int(sec.get("attacker", 2), "audit.attacker", 1, graph.n)
     if honest == attacker:
         raise ConfigError("audit.honest and audit.attacker must be different agents")
+    if two_agent:
+        check_tables(graph, resolved["objective"]["p"], resolved["algorithm"]["K"], record_transcript=True)
+    return K_audit, honest, attacker, two_agent
+
+
+def cmd_audit(args: argparse.Namespace) -> int:
+    cfg, resolved, graph = _load(args)
+    K_audit, honest, attacker, two_agent = _audit_options(cfg, resolved, graph)
     p = resolved["objective"]["p"]
 
-    payload = {
-        "config": resolved,
-        "state_structural": audit_state_system(max(K_audit, 2), p).to_dict(),
-        "gradient_structural": audit_gradient_system(K_audit, p).to_dict(),
-    }
+    payload = {"config": resolved, **_structural_audits(K_audit, p)}
     if two_agent:
         scenario, report, transcript = _execute(resolved, graph, record_transcript=True)
         payload["summary"] = report.summary()
@@ -632,8 +623,14 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, resolved, graph = _load(args)
+    """Apply to the file every rule a command applies: a section that only
+    one command reads is checked when present."""
+    cfg, resolved, graph = _load(args)
+    check_tables(graph, resolved["objective"]["p"], resolved["algorithm"]["K"])
     build_scenario(resolved, graph)  # exercises every domain validation
+    for name, check in (("sweep", _sweep_plan), ("attack", _attack_options), ("audit", _audit_options)):
+        if cfg.get(name) is not None:
+            check(cfg, resolved, graph)
     print(json.dumps(resolved, indent=2, sort_keys=True))
     return 0
 
@@ -645,35 +642,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wgtsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, func, help_text in (
+        ("run", cmd_run, "single run; writes report.csv and report.json"),
+        ("sweep", cmd_sweep, "parameter grid; writes sweep.csv and sweep.json"),
+        ("attack", cmd_attack, "run + transcript attack; writes attack.json"),
+        ("audit", cmd_audit, "underdetermination audits; writes audit.json"),
+        ("validate", cmd_validate, "parse, validate, and print the resolved config"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a YAML config file")
         p.add_argument("-o", "--output-dir", help="override report.output_dir")
-        p.add_argument("--threshold", type=float, help="override report.residual_threshold")
-        p.add_argument("--objective-seed", type=int, help="override objective.seed")
-        p.add_argument("--init-seed", type=int, help="override algorithm.init_seed")
-        p.add_argument("--weight-seed", type=int, help="override weights.seed")
-
-    p_run = sub.add_parser("run", help="single run; writes report.csv and report.json")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="parameter grid; writes sweep.csv and sweep.json")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_attack = sub.add_parser("attack", help="run + transcript attack; writes attack.json")
-    common(p_attack)
-    p_attack.add_argument("--target", type=int, help="victim agent id (default from config)")
-    p_attack.set_defaults(func=cmd_attack)
-
-    p_audit = sub.add_parser("audit", help="underdetermination audits; writes audit.json")
-    common(p_audit)
-    p_audit.set_defaults(func=cmd_audit)
-
-    p_val = sub.add_parser("validate", help="parse, validate, and print the resolved config")
-    common(p_val)
-    p_val.set_defaults(func=cmd_validate)
+        for flag, (section, key, type_) in _FLAGS.items():
+            p.add_argument(flag, type=type_, help=f"override {section}.{key}")
+        if name == "attack":
+            p.add_argument("--target", type=int, help="victim agent id (default from config)")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -48,7 +48,6 @@ __all__ = [
 
 MODES = ("ab", "wgt")
 
-# run refuses a run whose tables (metrics, pis, transcript, states) would exceed this
 BUFFER_LIMIT_BYTES = 2 * 2**30
 
 
@@ -137,6 +136,17 @@ def check_steps(mode: str, steps: StepSizes) -> None:
     """Raise ConfigError if the update law cannot use these step sizes."""
     if mode == "ab" and not steps.is_homogeneous:
         raise ConfigError("baseline tracking uses one common constant step size")
+
+
+def check_tables(graph: DirectedGraph, p: int, K: int, *, record_transcript: bool = False,
+                 record_states: bool = False, key: str = "algorithm.K") -> None:
+    """Raise ConfigError, naming the config key that sets K, if the tables of a
+    K-iteration run (metrics, pis and what it records) exceed BUFFER_LIMIT_BYTES."""
+    floats = (K + 1) * (len(METRIC_COLUMNS) + graph.n + (2 * graph.n * p if record_states else 0))
+    floats += 2 * K * len(graph.edges) * p if record_transcript else 0
+    if (size := 8 * floats) > BUFFER_LIMIT_BYTES:
+        raise ConfigError(f"the tables of a {K}-iteration run take {size / 2**30:.1f} GiB, over "
+                          f"the {BUFFER_LIMIT_BYTES / 2**30:g} GiB limit; lower {key}")
 
 
 @dataclass
@@ -374,11 +384,7 @@ def run(
     src, dst = scenario.graph.edge_index_arrays()
     ens = scenario.ensemble
     n, p = ens.n, ens.p
-    floats = (K + 1) * (len(METRIC_COLUMNS) + n + (2 * n * p if record_states else 0))
-    floats += 2 * K * src.size * p if record_transcript else 0
-    if (size := 8 * floats) > BUFFER_LIMIT_BYTES:
-        raise ConfigError(f"the tables of a {K}-iteration run take {size / 2**30:.1f} GiB, over "
-                          f"the {BUFFER_LIMIT_BYTES / 2**30:g} GiB limit; lower algorithm.K")
+    check_tables(scenario.graph, p, K, record_transcript=record_transcript, record_states=record_states)
     trajectory = _trajectory(scenario, mode, K)
     x, y, g, w, _, _ = next(trajectory)
     ws = scenario.weights

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "DivergenceError", "NumericalError"]
+
 
 class ConfigError(ValueError):
     """Invalid configuration: bad file, bad value, or inconsistent sections."""

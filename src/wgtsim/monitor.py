@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .weights import WeightSchedule, phi_static
+from .weights import WeightSchedule, phi_static, spectral_radius
 
 __all__ = [
     "ContractionEstimates",
@@ -207,11 +207,6 @@ def limit_propagation(est: ContractionEstimates) -> np.ndarray:
             [0.0, 0.0, est.sigma_B],
         ]
     )
-
-
-def spectral_radius(M: np.ndarray) -> float:
-    """Largest eigenvalue modulus."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))
 
 
 def det_criterion(M: np.ndarray, c_star: float) -> bool:

@@ -127,6 +127,11 @@ class WeightSchedule:
         return out
 
 
+def spectral_radius(M: np.ndarray) -> float:
+    """Largest eigenvalue modulus."""
+    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))
+
+
 def phi_static(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
     """Left stationary vector of a static row-stochastic matrix.
 
@@ -162,8 +167,5 @@ def contraction_radii(
     rank-one part removes the unit eigenvalue and a primitive stochastic
     matrix has all remaining eigenvalues strictly inside the unit circle.
     """
-    n = A.shape[0]
-    one = np.ones(n)
-    rho_a = float(np.max(np.abs(np.linalg.eigvals(A - np.outer(one, phi)))))
-    rho_b = float(np.max(np.abs(np.linalg.eigvals(B - np.outer(pi, one)))))
-    return rho_a, rho_b
+    one = np.ones(A.shape[0])
+    return spectral_radius(A - np.outer(one, phi)), spectral_radius(B - np.outer(pi, one))

@@ -257,6 +257,11 @@ class TestValidate:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["graph"]["edges"] == [[1, 2], [2, 3], [3, 1]]
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.yaml")))
+    def test_shipped_configs_validate(self, name, capsys):
+        assert main(["validate", str(CONFIG_DIR / name)]) == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == 1
+
 
 class TestConfigErrors:
     def run_expecting_2(self, tmp_path, capsys, *flags, command="validate", **sections):
@@ -379,24 +384,33 @@ class TestConfigErrors:
         ):
             self.run_expecting_2(tmp_path, capsys, **base, algorithm=algo, report=report)
         self.run_expecting_2(tmp_path, capsys, "--threshold", "nan", **base, algorithm=algo)
-        for grid in ([0.1, float("nan")], 0.1):
-            self.run_expecting_2(
-                tmp_path, capsys, command="sweep", **base, algorithm=algo,
-                sweep={"seeds": [0], "alpha": {"grid": grid}},
-            )
+        for flag in ("--objective-seed", "--init-seed", "--weight-seed"):
+            self.run_expecting_2(tmp_path, capsys, flag, "-1", **base, algorithm=algo)
+        # validate refuses the sweep sections the sweep command refuses
+        for command in ("sweep", "validate"):
+            for grid in ([0.1, float("nan")], 0.1, [-0.02, 0.05]):
+                self.run_expecting_2(
+                    tmp_path, capsys, command=command, **base, algorithm=algo,
+                    sweep={"seeds": [0], "alpha": {"grid": grid}},
+                )
 
     def test_out_of_range_counts_and_agent_ids(self, tmp_path, capsys):
         base = dict(graph={"preset": "sensor-6"}, objective={"seed": 0})
         algo = {"mode": "ab", "alpha": 5e-4, "K": 5}
-        for attack, flags in (({"target": 7}, ()), ({}, ("--target", "0")), ({"window": 0}, ())):
-            self.run_expecting_2(
-                tmp_path, capsys, *flags, command="attack", **base, algorithm=algo, attack=attack
-            )
-        self.run_expecting_2(tmp_path, capsys, command="audit", **base, algorithm=algo, audit={"K": 0})
         self.run_expecting_2(
-            tmp_path, capsys, command="audit", **base, algorithm=algo,
-            audit={"honest": 2, "attacker": 2},
+            tmp_path, capsys, "--target", "0", command="attack", **base, algorithm=algo
         )
+        # validate refuses the attack and audit sections their commands refuse
+        for command in ("attack", "validate"):
+            for attack in ({"target": 7}, {"window": 0}):
+                self.run_expecting_2(
+                    tmp_path, capsys, command=command, **base, algorithm=algo, attack=attack
+                )
+        for command in ("audit", "validate"):
+            for audit in ({"K": 0}, {"honest": 9}, {"honest": 2, "attacker": 2}):
+                self.run_expecting_2(
+                    tmp_path, capsys, command=command, **base, algorithm=algo, audit=audit
+                )
         self.run_expecting_2(
             tmp_path, capsys, **base, algorithm=algo, report={"admissibility_horizon": 0}
         )
@@ -537,9 +551,10 @@ def test_oversized_transcript_exits_2_before_allocating(tmp_path, capsys, monkey
 
 def test_oversized_run_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
     # run records no transcript, but 10^9 rows of metrics and pis alone take
-    # 89 GiB at n = 6
+    # 89 GiB at n = 6; validate refuses what run refuses
     cfg = flagship_config(tmp_path, tmp_path / "out", K=10**9)
-    assert_refused_before_allocating(monkeypatch, capsys, "run", cfg)
+    for command in ("run", "validate"):
+        assert_refused_before_allocating(monkeypatch, capsys, command, cfg)
 
 
 class TestAudit:
@@ -649,8 +664,9 @@ class TestSweep:
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path, tmp_path / "out", seeds=[0])
-        assert main(["sweep", cfg]) == 2
-        assert "empty grid" in capsys.readouterr().err
+        for command in ("sweep", "validate"):
+            assert main([command, cfg]) == 2
+            assert "empty grid" in capsys.readouterr().err
 
     def test_sweep_requires_weighted_mode(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -661,8 +677,9 @@ class TestSweep:
             algorithm={"mode": "ab", "alpha": 5.0e-4, "K": 100},
             sweep={"alpha": {"grid": [0.05, 0.1]}},
         )
-        assert main(["sweep", cfg]) == 2
-        assert "wgt" in capsys.readouterr().err
+        for command in ("sweep", "validate"):
+            assert main([command, cfg]) == 2
+            assert "wgt" in capsys.readouterr().err
 
 
 class TestResolve:
