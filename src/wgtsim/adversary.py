@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _TRUE_GRADIENT_FLOOR = 1e-12
+_BLOCK_ROWS = 4096
 
 
 def z_stream(transcript: Transcript, i: int) -> np.ndarray:
@@ -39,14 +40,18 @@ def z_stream(transcript: Transcript, i: int) -> np.ndarray:
 
     Computed purely from on-channel tracker messages: the sum of what i
     sent minus the sum of what i received. Self-weighted tracker terms
-    never cross a channel and so never enter.
+    never cross a channel and so never enter. The sums are taken
+    _BLOCK_ROWS iterations at a time, so that no temporary grows with K.
     """
     if transcript.K < 1:
         raise ValueError("transcript is empty; nothing to observe")
-    graph = transcript.graph
-    sent = transcript.y_msgs[:, graph.out_edge_indices(i), :].sum(axis=1)
-    received = transcript.y_msgs[:, graph.in_edge_indices(i), :].sum(axis=1)
-    return sent - received
+    sent, received = transcript.graph.out_edge_indices(i), transcript.graph.in_edge_indices(i)
+    z = np.empty((transcript.K, transcript.p))
+    for start in range(0, transcript.K, _BLOCK_ROWS):
+        rows = transcript.y_msgs[start : start + _BLOCK_ROWS]
+        # each edge's slice added to 0 in edge order: rows[:, edges, :].sum(axis=1), uncopied
+        z[start : start + _BLOCK_ROWS] = sum(rows[:, e] for e in sent) - sum(rows[:, e] for e in received)
+    return z
 
 
 @dataclass

@@ -32,7 +32,9 @@ from .adversary import (
     audit_state_system,
     infer_gradient,
 )
-from .engine import MODES, LambdaSchedule, Scenario, StepSizes, check_steps, check_tables, replay, run
+from .engine import (
+    MODES, LambdaSchedule, Scenario, StepSizes, check_steps, check_tables, replay, run, run_batch,
+)
 from .errors import ConfigError, DivergenceError, NumericalError
 from .graph import DirectedGraph, directed_ring, sensor_network_6
 from .monitor import admissibility_report
@@ -364,32 +366,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_cell(base: Scenario, resolved: dict, params: dict, seed: int, K: int) -> dict:
-    # the cells share the graph and the weight schedule
-    threshold = resolved["report"]["residual_threshold"]
-    scenario = dataclasses.replace(
-        base,
-        ensemble=make_sensor_scenario(**{**resolved["objective"], "seed": seed}),
-        steps=StepSizes.homogeneous(params["alpha"], base.graph.n),
-        lam=LambdaSchedule(params["e"], params["m"]),
-        init_seed=seed,
-    )
-    cell = {**params, "objective_seed": seed, "init_seed": seed}
-    try:
-        report, _ = run(scenario, "wgt", K, record_transcript=False, residual_threshold=threshold,
-                        divergence_cap=resolved["report"]["divergence_cap"], stop_when_below=threshold)
-    except DivergenceError as exc:
-        cell.update(status="diverged", iterations_to_threshold=None, terminal_residual=None,
-                    diverged_at=exc.k)
-        return cell
-    cell.update(
-        status="ok",
-        iterations_to_threshold=report.iterations_to_threshold(),
-        terminal_residual=float(report.residuals[-1]),
-    )
-    return cell
-
-
 def _monotone_votes(cells: list[dict], kind: str, seeds: list[int], nonincreasing: bool) -> list[bool]:
     """One vote per seed: are iterations-to-threshold monotone along the grid of kind?
 
@@ -429,7 +405,6 @@ def _sweep_plan(cfg: dict, resolved: dict, graph: DirectedGraph) -> tuple[dict, 
         raise ConfigError("sweep.seeds must be a non-empty list")
     seeds = [_as_seed(s, "sweep.seeds[i]") for s in seeds]
     K = _as_count(sec.get("K", algorithm["K"]), "sweep.K")
-    check_tables(graph, resolved["objective"]["p"], K, key="sweep.K")
     summary = {"threshold": resolved["report"]["residual_threshold"], "seeds": seeds, "K": K}
     defaults = {"alpha": algorithm["alpha"][0], **algorithm["lambda"]}
     params = []
@@ -454,9 +429,20 @@ def _sweep_plan(cfg: dict, resolved: dict, graph: DirectedGraph) -> tuple[dict, 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg, resolved, graph = _load(args)
     summary, params = _sweep_plan(cfg, resolved, graph)
-    seeds = summary["seeds"]
+    seeds, ropt = summary["seeds"], resolved["report"]
+    # the cells share the graph and the weight schedule, and a seed's cells its objectives
     base = build_scenario(resolved, graph)[0]
-    cells = [_sweep_cell(base, resolved, param, seed, summary["K"]) for seed in seeds for param in params]
+    ensembles = {seed: make_sensor_scenario(**{**resolved["objective"], "seed": seed}) for seed in seeds}
+    cells = [{**param, "objective_seed": seed, "init_seed": seed} for seed in seeds for param in params]
+    scenarios = [dataclasses.replace(
+        base, ensemble=ensembles[c["objective_seed"]], steps=StepSizes.homogeneous(c["alpha"], graph.n),
+        lam=LambdaSchedule(c["e"], c["m"]), init_seed=c["init_seed"]) for c in cells]
+    results = run_batch(scenarios, summary["K"], stop_when_below=ropt["residual_threshold"],
+                        divergence_cap=ropt["divergence_cap"])
+    for cell, (its, residual, diverged_at) in zip(cells, results):
+        cell.update(status="ok", iterations_to_threshold=its, terminal_residual=residual)
+        if diverged_at is not None:
+            cell.update(status="diverged", terminal_residual=None, diverged_at=diverged_at)
     for kind, (_, _, nonincreasing) in _SWEEP_KINDS.items():
         if summary[f"{kind}_grid"]:
             votes = _monotone_votes(cells, kind, seeds, nonincreasing)
@@ -524,15 +510,15 @@ def _structural_audits(K: int, p: int) -> dict:
     }
 
 
-def _two_agent(resolved: dict, required: bool = False) -> bool:
-    """Whether the numeric two-agent audit runs: weighted tracking between two agents, over
-    at least the two iterations it stacks. A shorter run skips it, or is refused if required."""
+def _two_agent(resolved: dict) -> bool:
+    """Whether the numeric two-agent audit applies: weighted tracking between two agents.
+    Raises ConfigError if the run is shorter than the two iterations the audit stacks."""
     algorithm = resolved["algorithm"]
     if resolved["graph"]["n"] != 2 or algorithm["mode"] != "wgt":
         return False
-    if algorithm["K"] < 2 and required:
+    if algorithm["K"] < 2:
         raise ConfigError("the two-agent audit needs algorithm.K >= 2")
-    return algorithm["K"] >= 2
+    return True
 
 
 def _attack_options(cfg: dict, resolved: dict, graph: DirectedGraph,
@@ -563,7 +549,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     )
     audit_K = max(2, min(10, transcript.K))
     audits = _structural_audits(audit_K, resolved["objective"]["p"])
-    if _two_agent(resolved):
+    try:
+        two_agent = _two_agent(resolved)
+    except ConfigError as exc:  # the attack stands without it; audit refuses such a config
+        two_agent, audits["two_agent"] = False, {"skipped": str(exc)}
+    if two_agent:
         other = 2 if target == 1 else 1
         audits["two_agent"] = _numeric_audits(scenario, transcript, target, other, audit_K)
 
@@ -588,7 +578,7 @@ def _audit_options(cfg: dict, resolved: dict, graph: DirectedGraph) -> tuple[int
     """Check the audit section. Returns (K, honest, attacker, whether the
     numeric two-agent audit runs)."""
     sec = _section(cfg, "audit", {"K", "honest", "attacker"}, required=False)
-    two_agent = _two_agent(resolved, required=True)
+    two_agent = _two_agent(resolved)
     # the numeric two-agent audit stacks at least two iterations of the run
     K_audit = _as_int(sec.get("K", 3), "audit.K", lo=2 if two_agent else 1)
     honest = _as_int(sec.get("honest", 1), "audit.honest", 1, graph.n)

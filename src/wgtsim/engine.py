@@ -43,6 +43,7 @@ __all__ = [
     "RunReport",
     "check_steps",
     "run",
+    "run_batch",
     "replay",
 ]
 
@@ -139,14 +140,14 @@ def check_steps(mode: str, steps: StepSizes) -> None:
 
 
 def check_tables(graph: DirectedGraph, p: int, K: int, *, record_transcript: bool = False,
-                 record_states: bool = False, key: str = "algorithm.K") -> None:
-    """Raise ConfigError, naming the config key that sets K, if the tables of a
-    K-iteration run (metrics, pis and what it records) exceed BUFFER_LIMIT_BYTES."""
+                 record_states: bool = False) -> None:
+    """Raise ConfigError if the tables of a K-iteration run (metrics, pis and
+    what it records) exceed BUFFER_LIMIT_BYTES."""
     floats = (K + 1) * (len(METRIC_COLUMNS) + graph.n + (2 * graph.n * p if record_states else 0))
     floats += 2 * K * len(graph.edges) * p if record_transcript else 0
     if (size := 8 * floats) > BUFFER_LIMIT_BYTES:
         raise ConfigError(f"the tables of a {K}-iteration run take {size / 2**30:.1f} GiB, over "
-                          f"the {BUFFER_LIMIT_BYTES / 2**30:g} GiB limit; lower {key}")
+                          f"the {BUFFER_LIMIT_BYTES / 2**30:g} GiB limit; lower algorithm.K")
 
 
 @dataclass
@@ -271,19 +272,22 @@ class RunReport:
         }
 
 
-def _plans(weights: WeightSchedule, src: np.ndarray, dst: np.ndarray, p: int):
+def _plans(weights: WeightSchedule, p: int, cells: int = 1):
     """Yield (plan, B_k) for k = 1, 2, ...: the plan holds diag(A_k),
     A_k[dst, src], diag(B_k) and B_k[dst, src] as column vectors, gathered
-    once for a static schedule and afresh per k for a time-varying one, and
-    the flat index dst * p + c of each edge's component c, built once."""
+    once for a static schedule and afresh per k for a time-varying one, then
+    src and the flat index (s * n + dst) * p + c of component c of each edge
+    of cell s < cells, built once; the first S * E * p entries serve S cells."""
     n = weights.graph.n
+    src, dst = weights.graph.edge_index_arrays()
     rows, cols = np.r_[np.arange(n), dst], np.r_[np.arange(n), src]
-    flat_dst = (dst[:, None] * p + np.arange(p)).ravel()
+    src = src.copy()  # writeable: take copies a read-only index on every call
+    flat_dst = ((np.arange(cells)[:, None, None] * n + dst[:, None]) * p + np.arange(p)).ravel()
 
     def plan(k: int):
         A, B = weights.matrices_at(k)
         a, b = A[rows, cols][:, None], B[rows, cols][:, None]
-        return (a[:n], a[n:], b[:n], b[n:], flat_dst), B
+        return (a[:n], a[n:], b[:n], b[n:], src, flat_dst), B
 
     if weights.mode == "static":
         return itertools.repeat(plan(1))
@@ -291,23 +295,24 @@ def _plans(weights: WeightSchedule, src: np.ndarray, dst: np.ndarray, p: int):
 
 
 def _step(
-    mode: str, x: np.ndarray, y: np.ndarray, g_prev: np.ndarray, plan: tuple, src: np.ndarray,
-    alphas: np.ndarray, lams: tuple[float, float], ensemble: ObjectiveEnsemble,
-    msgs: tuple[np.ndarray, np.ndarray] | None = None,
+    mode: str, x: np.ndarray, y: np.ndarray, g_prev: np.ndarray, plan: tuple, alphas: np.ndarray,
+    lams: tuple, gradients, msgs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """One synchronous iteration; returns new x, y, grad and the messages.
 
-    alphas is the (n, 1) step column and lams (lambda_k, lambda_k+1), which
-    only wgt reads. msgs=None computes the (x_msgs, y_msgs) the senders put
-    on the channels; recorded messages (replay) are mixed in their place.
-    """
-    a_self, a_edge, b_self, b_edge, flat_dst = plan
+    x, y and g_prev are (n, p), or (S, n, p) for S cells the plan's flat index
+    covers. alphas is the (n, 1) or (S, n, 1) step column and lams (lambda_k,
+    lambda_k+1), floats or (S, 1, 1) columns that only wgt reads and callers
+    check do not increase. gradients maps the new x to its gradients. msgs=None
+    computes the (x_msgs, y_msgs) the senders put on the channels; recorded
+    messages (replay) are mixed in their place."""
+    a_self, a_edge, b_self, b_edge, src, flat_dst = plan
     # wgt adapts before it combines: the x-channel carries x - alpha * y
     sent = x - alphas * y if mode == "wgt" else x
     if msgs is None:
-        msgs = sent[src], b_edge * y[src]
+        msgs = sent.take(src, axis=-2), b_edge * y.take(src, axis=-2)
     x_msgs, y_msgs = msgs
-    # np.add.at on the flattened (n, p) array adds the raveled (E, p) terms
+    # np.add.at on the flattened state adds the raveled (..., E, p) terms
     # one at a time at flat_dst: each element receives its edges' terms in
     # edge order, which pins the summation order bit-exact replay needs
     x_next = a_self * sent
@@ -316,11 +321,9 @@ def _step(
         x_next -= alphas[0] * y
     y_mix = b_self * y
     np.add.at(y_mix.ravel(), flat_dst, y_msgs.ravel())
-    g_next = ensemble.gradients(x_next)
+    g_next = gradients(x_next)
     if mode == "wgt":
         lam_prev, lam_next = lams
-        if lam_next > lam_prev:
-            raise ValueError("gradient-weight schedule must be nonincreasing")
         y_next = y_mix + lam_next * g_next - lam_prev * g_prev
     else:
         y_next = y_mix + g_next - g_prev
@@ -341,15 +344,15 @@ def _trajectory(scenario: Scenario, mode: str, K: int, transcript: Transcript | 
     w = weight(1)
     y = (w * g) if mode == "wgt" else g.copy()
     yield x, y, g, w, None, None
-    src, dst = scenario.graph.edge_index_arrays()
     alphas = scenario.steps.values[:, None]
-    plans = _plans(scenario.weights, src, dst, x.shape[1])
+    plans = _plans(scenario.weights, x.shape[1])
+    gradients = scenario.ensemble.gradients
     for k, (plan, B) in zip(range(1, K + 1), plans):
         w_next = weight(k + 1)
+        if w_next > w:
+            raise ValueError("gradient-weight schedule must be nonincreasing")
         msgs = None if transcript is None else (transcript.x_msgs[k - 1], transcript.y_msgs[k - 1])
-        x, y, g, msgs = _step(
-            mode, x, y, g, plan, src, alphas, (w, w_next), scenario.ensemble, msgs
-        )
+        x, y, g, msgs = _step(mode, x, y, g, plan, alphas, (w, w_next), gradients, msgs)
         w = w_next
         yield x, y, g, w, msgs, B
 
@@ -381,7 +384,6 @@ def run(
     if K < 0:
         raise ValueError(f"iteration count must be >= 0, got {K}")
     check_steps(mode, scenario.steps)
-    src, dst = scenario.graph.edge_index_arrays()
     ens = scenario.ensemble
     n, p = ens.n, ens.p
     check_tables(scenario.graph, p, K, record_transcript=record_transcript, record_states=record_states)
@@ -395,7 +397,7 @@ def run(
 
     metrics = np.empty((K + 1, len(METRIC_COLUMNS)))
     pis = np.empty((K + 1, n))
-    x_msgs, y_msgs = np.empty((2, K, src.size, p)) if record_transcript else (None, None)
+    x_msgs, y_msgs = np.empty((2, K, len(scenario.graph.edges), p)) if record_transcript else (None, None)
     xs, ys = np.empty((2, K + 1, n, p)) if record_states else (None, None)
 
     pi = np.full(n, 1.0 / n)
@@ -442,6 +444,67 @@ def run(
     if record_transcript:
         transcript = Transcript(mode, scenario.graph, p, x_msgs[:K_run], y_msgs[:K_run])
     return report, transcript
+
+
+def run_batch(
+    scenarios: list[Scenario], K: int, *, stop_when_below: float, divergence_cap: float = 1e12
+) -> list[tuple[int | None, float, int | None]]:
+    """Weighted tracking on cells that share the graph and the weight schedule.
+
+    Each cell keeps only its state and residual, advancing through run's kernel
+    over a leading (S, n, p) axis, and leaves the batch where its own run(...,
+    stop_when_below=...) stops or raises DivergenceError. Returns per cell, bit
+    for bit as that run gives them, (iterations to threshold or None, terminal
+    residual or the one that tripped the guard, divergence k or None)."""
+    if not scenarios or K < 0:
+        raise ValueError(f"need cells and K >= 0, got {len(scenarios)} cells and K={K}")
+    ws = scenarios[0].weights
+    if any(s.weights != ws or s.lam is None for s in scenarios):
+        raise ConfigError("batched cells need one weight schedule and a gradient-weight schedule each")
+    x = np.stack([s.initial_x() for s in scenarios])
+    hess = np.stack([s.ensemble.hessians for s in scenarios])
+    lin = np.stack([s.ensemble.linear_terms for s in scenarios])
+    x_star = np.stack([s.ensemble.global_optimum() for s in scenarios])[:, None, :]
+    alphas = np.stack([s.steps.values for s in scenarios])[:, :, None]
+    weight = [s.lam.value for s in scenarios]
+
+    def gradients(x):
+        return np.einsum("sipq,siq->sip", hess, x) - lin
+
+    # run's scalar expressions for lambda_k and the residual: their
+    # vectorized forms round differently in the last bit
+    init = [monitor.norm(d) ** 2 for d in x - x_star]
+    norm_by = [i if i > 0.0 else 1.0 for i in init]
+    res = [i / by for i, by in zip(init, norm_by)]
+    first = [1 if r <= stop_when_below else None for r in res]  # the initial state's row
+    g = gradients(x)
+    w = np.array([value(1) for value in weight])[:, None, None]
+    y = w * g
+    cells, out = list(range(len(scenarios))), [None] * len(scenarios)
+    for k, (plan, _) in zip(range(1, K + 1), _plans(ws, x.shape[2], len(cells))):
+        w_next = np.array([weight[c](k + 1) for c in cells])[:, None, None]
+        if (w_next > w).any():
+            raise ValueError("gradient-weight schedule must be nonincreasing")
+        plan = (*plan[:5], plan[5][: len(cells) * len(ws.graph.edges) * x.shape[2]])  # the cells' flat index
+        x, y, g, _ = _step("wgt", x, y, g, plan, alphas, (w, w_next), gradients)
+        w = w_next
+        d = (x - x_star).reshape(len(cells), 1, -1)
+        dots = (d @ d.transpose(0, 2, 1)).ravel().tolist()
+        res = [math.sqrt(v) ** 2 / norm_by[c] for v, c in zip(dots, cells)]
+        for c, r in zip(cells, res):
+            if not math.isfinite(r) or r > divergence_cap:
+                out[c] = (None, r, k + 1)
+            elif r <= stop_when_below:
+                out[c] = (first[c] or k + 1, r, None)
+        keep = [j for j, c in enumerate(cells) if out[c] is None]
+        if len(keep) < len(cells):  # drop finished and diverged cells
+            cells, res = [cells[j] for j in keep], [res[j] for j in keep]
+            x, y, g, w, hess, lin, x_star, alphas = (a[keep] for a in (x, y, g, w, hess, lin, x_star, alphas))
+            if not cells:
+                break
+    for c, r in zip(cells, res):
+        out[c] = (first[c], r, None)
+    return out
 
 
 def replay(scenario: Scenario, mode: str, transcript: Transcript) -> tuple[np.ndarray, np.ndarray]:

@@ -76,8 +76,8 @@ class ObjectiveEnsemble:
         self.agents = list(agents)
         self.n = len(agents)
         self.p = p
-        self._hess = np.stack([a.hessian for a in agents])  # (n, p, p)
-        self._lin = np.stack([a._lin for a in agents])  # (n, p)
+        self.hessians = np.stack([a.hessian for a in agents])  # (n, p, p)
+        self.linear_terms = np.stack([a._lin for a in agents])  # (n, p)
         self.L = max(a.L for a in agents)
         self.mu = min(a.mu for a in agents)
         self.L_hat = self.n * self.L
@@ -85,11 +85,11 @@ class ObjectiveEnsemble:
 
     def gradients(self, x: np.ndarray) -> np.ndarray:
         """Stacked gradients: row i is grad f_i(x_i) for x of shape (n, p)."""
-        return np.einsum("ipq,iq->ip", self._hess, x) - self._lin
+        return np.einsum("ipq,iq->ip", self.hessians, x) - self.linear_terms
 
     def gradients_at_consensus(self, x: np.ndarray) -> np.ndarray:
         """Row i is grad f_i(x) for a single point x of shape (p,)."""
-        return np.einsum("ipq,q->ip", self._hess, x) - self._lin
+        return np.einsum("ipq,q->ip", self.hessians, x) - self.linear_terms
 
     def global_optimum(self) -> np.ndarray:
         """Minimizer of sum_i f_i via the stacked normal equations.
@@ -99,7 +99,7 @@ class ObjectiveEnsemble:
         |sum grad| <= 1e-12 (|H|_2 |x*| + |b|) for the summed system H x = b,
         a bound a backward-stable solve meets at any n and scale.
         """
-        H, b = self._hess.sum(axis=0), self._lin.sum(axis=0)
+        H, b = self.hessians.sum(axis=0), self.linear_terms.sum(axis=0)
         x_star = np.linalg.solve(H, b)
         residual = np.linalg.norm(self.gradients_at_consensus(x_star).sum(axis=0))
         if residual > 1e-12 * (np.linalg.norm(H, 2) * np.linalg.norm(x_star) + np.linalg.norm(b)):

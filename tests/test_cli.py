@@ -33,6 +33,8 @@ GOLDEN_ATTACK_SHA256 = {
     "attack_wgt.yaml": "45ee9f2baabd6e9868811fb2048c5b0f52aed524cc6ffad453a7b7bfb060b2e5",
 }
 GOLDEN_AUDIT_SHA256 = "46bbd62d1b3bfaec7c3f2870d168c1452e13868565662fad2c7be7daaf9dd846"
+# SHA-256 of sweep.csv from `wgtsim sweep` on the shipped config
+GOLDEN_SWEEP_SHA256 = "907dc67d340a623791e68868e51ac6dcc590fe642fea4d7ae8c7ef0f4638e8ac"
 
 
 def payload_digest(obj) -> str:
@@ -514,6 +516,19 @@ class TestAttack:
         # detector reports the attempt as not yet stabilized.
         assert code == 4
 
+    def test_one_iteration_two_agent_attack_records_the_skipped_audit(self, tmp_path, capsys):
+        # the attack stands on one iteration; the numeric two-agent audit
+        # needs two, which attack.json says and audit refuses with exit 2
+        out = tmp_path / "out"
+        cfg = two_agent_config(tmp_path, out, K=1, attack={"target": 1})
+        assert main(["attack", cfg]) == 4
+        reason = "the two-agent audit needs algorithm.K >= 2"
+        payload = json.loads((out / "attack.json").read_text())
+        assert payload["audits"]["two_agent"] == {"skipped": reason}
+        capsys.readouterr()
+        assert main(["audit", cfg]) == 2
+        assert reason in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_ATTACK_SHA256))
     def test_shipped_attack_payload_is_pinned(self, tmp_path, name):
         payload = shipped_payload(tmp_path, "attack", name, "attack.json")
@@ -661,6 +676,28 @@ class TestSweep:
         censored = [l for l in lines[1:] if l.split(",")[1] == "1e-05"]
         assert censored and censored[0].endswith(",ok,,") is False
         assert censored[0].split(",")[7] == ""
+
+    def test_shipped_sweep_csv_is_pinned(self, tmp_path):
+        assert main(["sweep", str(CONFIG_DIR / "sweep.yaml"), "-o", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SWEEP_SHA256
+
+    def test_huge_budget_allocates_nothing_of_its_size(self, tmp_path):
+        # a sweep keeps each cell's state and residual only, so a budget of
+        # 10^9 iterations costs nothing until it is used
+        out = tmp_path / "out"
+        cfg = self.sweep_config(
+            tmp_path, out, K=10**9, seeds=[0], alpha={"grid": [0.1], "e": 0.8, "m": 100.0}
+        )
+        tracemalloc.start()
+        try:
+            assert main(["sweep", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        (cell,) = json.loads((out / "sweep.json").read_text())["cells"]
+        assert (cell["status"], cell["iterations_to_threshold"]) == ("ok", 206)
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path, tmp_path / "out", seeds=[0])

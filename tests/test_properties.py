@@ -4,20 +4,24 @@ The graph's adjacency structure is checked against a brute-force scan of
 its edge list, the weight matrices against a reference builder that scans
 the edges once per agent, the step kernel against a per-edge row scatter,
 and the engine's run against replay, the tracker-mass identity and the
-public definitions of its metrics row. On two-agent rings the takeover
-audits' numeric ranks are checked against their structural counts.
+public definitions of its metrics row. A batch of cells is checked against
+their serial runs, and the eavesdropper's net outflow against a gathered
+sum. On two-agent rings the takeover audits' numeric ranks are checked
+against their structural counts.
 """
 
-from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgtsim.adversary import TwoAgentObservations, audit_gradient_system, audit_state_system
+from wgtsim import adversary
+from wgtsim.adversary import TwoAgentObservations, audit_gradient_system, audit_state_system, z_stream
 from wgtsim.engine import (
-    LambdaSchedule, Scenario, StepSizes, _plans, _step, replay, run,
+    LambdaSchedule, Scenario, StepSizes, Transcript, _plans, _step, replay, run, run_batch,
 )
+from wgtsim.errors import DivergenceError
 from wgtsim.graph import DirectedGraph, directed_ring
 from wgtsim.monitor import metric_vector
 from wgtsim.objective import make_sensor_scenario
@@ -184,11 +188,10 @@ def test_step_mixes_like_a_per_edge_row_scatter(graph, mode, weight_mode, p, see
     zero = np.zeros_like(x)
     alphas = scen.steps.values[:, None]
     k = data.draw(st.integers(1, 50))
-    plans = _plans(scen.weights, src, dst, p)
+    plans = _plans(scen.weights, p)
     for _ in range(k):
         plan, B = next(plans)
-    no_gradients = SimpleNamespace(gradients=np.zeros_like)
-    x_next, y_next, _, _ = _step(mode, x, y, zero, plan, src, alphas, (0.5, 0.25), no_gradients)
+    x_next, y_next, _, _ = _step(mode, x, y, zero, plan, alphas, (0.5, 0.25), np.zeros_like)
 
     A, _ = scen.weights.matrices_at(k)
     sent = x - alphas * y if mode == "wgt" else x
@@ -267,3 +270,67 @@ def test_two_agent_audits_have_their_structural_rank(weight_mode, p, K, seed, st
         assert numeric.method == "numeric"
         assert (numeric.rank, numeric.nullity) == (structural.rank, structural.nullity)
         assert numeric.consistency_residual <= 1e-12
+
+
+def serial_cell(scen, K, threshold, cap):
+    """(iterations to threshold, residual, divergence k) of one cell's own run."""
+    try:
+        report, _ = run(scen, "wgt", K, record_transcript=False, residual_threshold=threshold,
+                        divergence_cap=cap, stop_when_below=threshold)
+    except DivergenceError as exc:
+        return None, exc.residual, exc.k
+    return report.iterations_to_threshold(), float(report.residuals[-1]), None
+
+
+@SETTINGS
+@given(
+    ring_plus_chords(),
+    st.sampled_from(["static", "time-varying"]),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+    st.sampled_from([1e-3, 2.0]),  # 2.0: the initial state is already below it
+    st.data(),
+)
+def test_batch_matches_serial_runs_cell_by_cell(graph, weight_mode, p, seed, threshold, data):
+    # the cells share the graph and the weights; the first steps far too
+    # long and diverges, the second too short to reach the threshold, which
+    # is put below its least residual if the initial state is not below it
+    K, cap = 150, 1e8
+    weights = WeightSchedule(graph, mode=weight_mode, a_floor=A_FLOOR, b_floor=B_FLOOR, seed=seed)
+    fractions = [1e3, 1e-6] + data.draw(st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3))
+    scenarios = []
+    for c, fraction in enumerate(fractions):
+        ensemble = make_sensor_scenario(n=graph.n, d=3, p=p, seed=seed + c)
+        scenarios.append(Scenario(
+            graph=graph,
+            weights=weights,
+            ensemble=ensemble,
+            steps=StepSizes.homogeneous(fraction / ensemble.L, graph.n),
+            lam=LambdaSchedule(e=data.draw(st.floats(0.5, 1.0)), m=data.draw(st.floats(0.0, 3.0))),
+            init_seed=seed + c,
+        ))
+    if threshold < 1.0:
+        threshold = min(threshold, run(scenarios[1], "wgt", K, record_transcript=False)[0].residuals.min() / 2)
+    batch = run_batch(scenarios, K, stop_when_below=threshold, divergence_cap=cap)
+    serial = [serial_cell(scen, K, threshold, cap) for scen in scenarios]
+    for (its, residual, diverged_at), (its_ref, residual_ref, diverged_ref) in zip(batch, serial):
+        assert (its, diverged_at) == (its_ref, diverged_ref)
+        assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
+    assert serial[0][2] is not None
+    assert serial[1][2] is None and serial[1][0] == (1 if threshold > 1.0 else None)
+
+
+@SETTINGS
+@given(ring_plus_chords(), st.integers(1, 30), st.integers(1, 4), st.integers(1, 7), st.integers(0, 2**16))
+def test_z_stream_equals_the_gathered_sum(graph, K, p, block_rows, seed):
+    # summed block by block without gathering copies, yet bit for bit the
+    # reduction over the gathered edges, -0.0 payloads included
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(K, len(graph.edges), p)) * 10.0 ** rng.integers(-6, 7, size=(K, len(graph.edges), p))
+    y[rng.random(y.shape) < 0.1] = -0.0
+    transcript = Transcript("wgt", graph, p, np.zeros_like(y), y)
+    with mock.patch.object(adversary, "_BLOCK_ROWS", block_rows):
+        for i in range(1, graph.n + 1):
+            sent = y[:, graph.out_edge_indices(i), :].sum(axis=1)
+            received = y[:, graph.in_edge_indices(i), :].sum(axis=1)
+            assert z_stream(transcript, i).tobytes() == (sent - received).tobytes()
