@@ -308,10 +308,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _load(args: argparse.Namespace) -> tuple[dict, dict, DirectedGraph]:
     """The config named by args, resolved with its overrides, and its graph,
-    built and checked once for the whole command."""
+    built and checked once for the whole command. Warns on stderr where the
+    config leaves the convergence theory."""
     cfg = load_config(args.config)
     graph = build_graph(cfg)
-    return cfg, resolve(cfg, args, graph), graph
+    resolved = resolve(cfg, args, graph)
+    if (lam := resolved["algorithm"]["lambda"]) and not LambdaSchedule(lam["e"], lam["m"]).sum_diverges:
+        print(f"warning: algorithm.lambda.e = {lam['e']:g} > 1 makes lambda_k summable, "
+              "outside the convergence theory", file=sys.stderr)
+    return cfg, resolved, graph
 
 
 def _execute(resolved: dict, graph: DirectedGraph, record_transcript: bool):

@@ -17,6 +17,9 @@ Every message placed on a channel during a run can be recorded into a
 Transcript. Mixing accumulates per-edge contributions in canonical edge
 order, so replaying a transcript through the same kernel reproduces the
 recorded trajectory bit for bit.
+
+A run's loop only steps and buffers: metrics rows, residual checks and stops
+come per block of rows, from stacked NumPy calls that round as row by row.
 """
 
 from __future__ import annotations
@@ -272,6 +275,20 @@ class RunReport:
         }
 
 
+# a block of bookkeeping has BLOCK_ROWS rows, fewer if its stacked copies would pass BLOCK_FLOATS
+BLOCK_ROWS, BLOCK_FLOATS = 64, 16384
+
+
+def _block_rows(floats_per_row: int) -> int:
+    return max(1, min(BLOCK_ROWS, BLOCK_FLOATS // floats_per_row))
+
+
+def _squares(sq_norms: np.ndarray) -> np.ndarray:
+    """sqrt(v) ** 2 for each squared norm v by Python's pow, as the residual has
+    it: NumPy's ** 2 multiplies, which rounds differently now and then."""
+    return np.array([math.sqrt(v) ** 2 for v in sq_norms.tolist()])
+
+
 def _plans(weights: WeightSchedule, p: int, cells: int = 1):
     """Yield (plan, B_k) for k = 1, 2, ...: the plan holds diag(A_k),
     A_k[dst, src], diag(B_k) and B_k[dst, src] as column vectors, gathered
@@ -295,17 +312,18 @@ def _plans(weights: WeightSchedule, p: int, cells: int = 1):
 
 
 def _step(
-    mode: str, x: np.ndarray, y: np.ndarray, g_prev: np.ndarray, plan: tuple, alphas: np.ndarray,
-    lams: tuple, gradients, msgs: tuple[np.ndarray, np.ndarray] | None = None,
+    mode: str, x: np.ndarray, y: np.ndarray, lg_prev: np.ndarray, plan: tuple, alphas: np.ndarray,
+    lam_next, gradients, msgs: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """One synchronous iteration; returns new x, y, grad and the messages.
+    """One synchronous iteration; returns new x, y, grad, lg and the messages.
 
-    x, y and g_prev are (n, p), or (S, n, p) for S cells the plan's flat index
-    covers. alphas is the (n, 1) or (S, n, 1) step column and lams (lambda_k,
-    lambda_k+1), floats or (S, 1, 1) columns that only wgt reads and callers
-    check do not increase. gradients maps the new x to its gradients. msgs=None
-    computes the (x_msgs, y_msgs) the senders put on the channels; recorded
-    messages (replay) are mixed in their place."""
+    x, y and lg_prev are (n, p), or (S, n, p) for S cells the plan's flat
+    index covers; lg is the weighted gradient the tracker takes in, lambda *
+    grad (wgt) or grad (ab), carried to the next step. alphas is the (n, 1)
+    or (S, n, 1) step column and lam_next lambda_k+1, a float or (S, 1, 1)
+    column. gradients maps the new x to its gradients. msgs=None computes the
+    (x_msgs, y_msgs) the senders put on the channels; recorded messages
+    (replay) are mixed in their place."""
     a_self, a_edge, b_self, b_edge, src, flat_dst = plan
     # wgt adapts before it combines: the x-channel carries x - alpha * y
     sent = x - alphas * y if mode == "wgt" else x
@@ -322,12 +340,10 @@ def _step(
     y_mix = b_self * y
     np.add.at(y_mix.ravel(), flat_dst, y_msgs.ravel())
     g_next = gradients(x_next)
-    if mode == "wgt":
-        lam_prev, lam_next = lams
-        y_next = y_mix + lam_next * g_next - lam_prev * g_prev
-    else:
-        y_next = y_mix + g_next - g_prev
-    return x_next, y_next, g_next, msgs
+    lg_next = lam_next * g_next if mode == "wgt" else g_next
+    y_mix += lg_next  # (y_mix + lg_next) - lg_prev in place: no temporaries to allocate
+    y_mix -= lg_prev
+    return x_next, y_mix, g_next, lg_next, msgs
 
 
 def _trajectory(scenario: Scenario, mode: str, K: int, transcript: Transcript | None = None):
@@ -342,7 +358,7 @@ def _trajectory(scenario: Scenario, mode: str, K: int, transcript: Transcript | 
     x = scenario.initial_x()
     g = scenario.ensemble.gradients(x)
     w = weight(1)
-    y = (w * g) if mode == "wgt" else g.copy()
+    y = lg = (w * g) if mode == "wgt" else g.copy()
     yield x, y, g, w, None, None
     alphas = scenario.steps.values[:, None]
     plans = _plans(scenario.weights, x.shape[1])
@@ -352,7 +368,7 @@ def _trajectory(scenario: Scenario, mode: str, K: int, transcript: Transcript | 
         if w_next > w:
             raise ValueError("gradient-weight schedule must be nonincreasing")
         msgs = None if transcript is None else (transcript.x_msgs[k - 1], transcript.y_msgs[k - 1])
-        x, y, g, msgs = _step(mode, x, y, g, plan, alphas, (w, w_next), gradients, msgs)
+        x, y, g, lg, msgs = _step(mode, x, y, lg, plan, alphas, w_next, gradients, msgs)
         w = w_next
         yield x, y, g, w, msgs, B
 
@@ -377,7 +393,8 @@ def run(
     has one row per visited iterate including the initial state: K + 1
     rows, fewer if stop_when_below is set and the residual crosses it
     first. A non-finite or cap-exceeding residual aborts with
-    DivergenceError.
+    DivergenceError. Rows are evaluated a block at a time; a stop or a
+    divergence still takes effect at its own row.
     """
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
@@ -387,8 +404,6 @@ def run(
     ens = scenario.ensemble
     n, p = ens.n, ens.p
     check_tables(scenario.graph, p, K, record_transcript=record_transcript, record_states=record_states)
-    trajectory = _trajectory(scenario, mode, K)
-    x, y, g, w, _, _ = next(trajectory)
     ws = scenario.weights
     x_star = ens.global_optimum()
 
@@ -399,32 +414,53 @@ def run(
     pis = np.empty((K + 1, n))
     x_msgs, y_msgs = np.empty((2, K, len(scenario.graph.edges), p)) if record_transcript else (None, None)
     xs, ys = np.empty((2, K + 1, n, p)) if record_states else (None, None)
+    L = _block_rows(3 * n * p)
 
-    pi = np.full(n, 1.0 / n)
-    init_dist = monitor.norm(x - x_star) ** 2
-    norm_by = init_dist if init_dist > 0.0 else 1.0
+    pi, pi_moves, norm_by = np.full(n, 1.0 / n), True, 1.0
 
-    def fill_row(t: int) -> float:
-        res = monitor.norm(x - x_star) ** 2 / norm_by
-        _, y_hat, s2, s3 = monitor.deviations(x, y, phi, pi)
-        metrics[t] = (res, s2, s3, w, monitor.norm(y_hat - w * g.sum(axis=0)), monitor.norm(g))
-        pis[t] = pi
+    def evaluate(t0: int, block: list) -> int | None:
+        """Fill the block's rows, from row t0 on; return its first row (past row 0)
+        at or below stop_when_below, or raise at its first divergent one."""
+        nonlocal norm_by
+        t1 = t0 + len(block)
+        # one row (large n * p) is viewed, not copied: its copies would add to the peak memory
+        X, Y, G = (rows[0][None] if len(block) == 1 else np.array(rows) for rows in zip(*block))
+        lam = metrics[t0:t1, 3]
+        sq = _squares(monitor.sq_norms(X - x_star))
+        if t0 == 0:  # residuals are relative to the initial squared distance, where it is not 0
+            norm_by = sq[0] if sq[0] > 0.0 else 1.0
+        res = (sq / norm_by).tolist()
+        _, y_hat, s2, s3 = monitor.deviations(X, Y, phi, pis[t0:t1])
+        conservation = monitor.norms(y_hat - lam[:, None] * G.sum(axis=1))
+        metrics[t0:t1, [0, 1, 2, 4, 5]] = np.column_stack((res, s2, s3, conservation, monitor.norms(G)))
         if record_states:
-            xs[t], ys[t] = x, y
-        return res
+            xs[t0:t1], ys[t0:t1] = X, Y
+        for t, r in enumerate(res[1:] if t0 == 0 else res, max(t0, 1)):
+            if not math.isfinite(r) or r > divergence_cap:
+                raise DivergenceError(t + 1, r)
+            if stop_when_below is not None and r <= stop_when_below:
+                return t
+        return None
 
-    K_run = K
-    fill_row(0)
-    for k, (x, y, g, w, msgs, B) in enumerate(trajectory, 1):
-        if record_transcript:
-            x_msgs[k - 1], y_msgs[k - 1] = msgs
-        pi = B @ pi
-        res = fill_row(k)
-        if not math.isfinite(res) or res > divergence_cap:
-            raise DivergenceError(k + 1, res)
-        if stop_when_below is not None and res <= stop_when_below:
-            K_run = k
-            break
+    # the loop steps and buffers, and evaluates a block once it is full; steps
+    # past a stop or divergence are dropped, overflows and all
+    stop, block = None, []  # the states and gradients of the block's rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (x, y, g, w, msgs, B) in enumerate(_trajectory(scenario, mode, K)):
+            if k and record_transcript:
+                x_msgs[k - 1], y_msgs[k - 1] = msgs
+            if k and pi_moves:  # a static B_k leaves pi as it is once B pi == pi bit for bit
+                pi, last = B @ pi, pi
+                pi_moves = phi is None or not np.array_equal(pi, last)
+            pis[k], metrics[k, 3] = pi, w
+            block.append((x, y, g))
+            if len(block) == L or k == K:
+                t0 = k + 1 - len(block)
+                if (stop := evaluate(t0, block)) is not None:
+                    x, y, _ = block[stop - t0]
+                    break
+                block = []
+    K_run = K if stop is None else stop
 
     rows = slice(K_run + 1)  # an early stop keeps the visited rows only
     report = RunReport(
@@ -471,38 +507,41 @@ def run_batch(
     def gradients(x):
         return np.einsum("sipq,siq->sip", hess, x) - lin
 
-    # run's scalar expressions for lambda_k and the residual: their
-    # vectorized forms round differently in the last bit
-    init = [monitor.norm(d) ** 2 for d in x - x_star]
-    norm_by = [i if i > 0.0 else 1.0 for i in init]
-    res = [i / by for i, by in zip(init, norm_by)]
-    first = [1 if r <= stop_when_below else None for r in res]  # the initial state's row
+    init = _squares(monitor.sq_norms(x - x_star))
+    norm_by = np.where(init > 0.0, init, 1.0)
+    res = init / norm_by
+    first = [1 if r <= stop_when_below else None for r in res.tolist()]  # the initial state's row
     g = gradients(x)
-    w = np.array([value(1) for value in weight])[:, None, None]
-    y = w * g
+    y = lg = np.array([value(1) for value in weight])[:, None, None] * g
     cells, out = list(range(len(scenarios))), [None] * len(scenarios)
-    for k, (plan, _) in zip(range(1, K + 1), _plans(ws, x.shape[2], len(cells))):
-        w_next = np.array([weight[c](k + 1) for c in cells])[:, None, None]
-        if (w_next > w).any():
-            raise ValueError("gradient-weight schedule must be nonincreasing")
-        plan = (*plan[:5], plan[5][: len(cells) * len(ws.graph.edges) * x.shape[2]])  # the cells' flat index
-        x, y, g, _ = _step("wgt", x, y, g, plan, alphas, (w, w_next), gradients)
-        w = w_next
-        d = (x - x_star).reshape(len(cells), 1, -1)
-        dots = (d @ d.transpose(0, 2, 1)).ravel().tolist()
-        res = [math.sqrt(v) ** 2 / norm_by[c] for v, c in zip(dots, cells)]
-        for c, r in zip(cells, res):
-            if not math.isfinite(r) or r > divergence_cap:
-                out[c] = (None, r, k + 1)
-            elif r <= stop_when_below:
-                out[c] = (first[c] or k + 1, r, None)
-        keep = [j for j, c in enumerate(cells) if out[c] is None]
-        if len(keep) < len(cells):  # drop finished and diverged cells
-            cells, res = [cells[j] for j in keep], [res[j] for j in keep]
-            x, y, g, w, hess, lin, x_star, alphas = (a[keep] for a in (x, y, g, w, hess, lin, x_star, alphas))
+    L, E, p = _block_rows(x.size), len(ws.graph.edges), x.shape[2]
+    plans, diffs = _plans(ws, p, len(cells)), np.empty(L * x.size)
+    # the loop steps and buffers distances; lambda, residuals and leaving cells come per block
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(1, K + 1, L):
+            m = min(L, K + 1 - k0)
+            lam = np.array([[weight[c](k) for c in cells] for k in range(k0, k0 + m + 1)])
+            if (lam[1:] > lam[:-1]).any():
+                raise ValueError("gradient-weight schedule must be nonincreasing")
+            lam, d = lam[:, :, None, None], diffs[: m * x.size].reshape(m, *x.shape)
+            for j, (plan, _) in zip(range(m), plans):
+                plan = (*plan[:5], plan[5][: len(cells) * E * p])  # the cells' flat index
+                x, y, _, lg, _ = _step("wgt", x, y, lg, plan, alphas, lam[j + 1], gradients)
+                np.subtract(x, x_star, out=d[j])
+            R = _squares(monitor.sq_norms(d.reshape(-1, *x.shape[1:]))).reshape(m, -1) / norm_by
+            diverged = ~np.isfinite(R) | (R > divergence_cap)
+            ended = diverged | (R <= stop_when_below)
+            for j in np.flatnonzero(ended.any(axis=0)).tolist():  # each at its first such row
+                t = int(ended[:, j].argmax())
+                r, k = float(R[t, j]), k0 + t
+                out[cells[j]] = (None, r, k + 1) if diverged[t, j] else (first[cells[j]] or k + 1, r, None)
+            keep = [j for j, c in enumerate(cells) if out[c] is None]  # drop finished and diverged cells
+            cells = [cells[j] for j in keep]
+            x, y, lg, norm_by, hess, lin, x_star, alphas, res = (
+                a[keep] for a in (x, y, lg, norm_by, hess, lin, x_star, alphas, R[-1]))
             if not cells:
                 break
-    for c, r in zip(cells, res):
+    for c, r in zip(cells, res.tolist()):
         out[c] = (first[c], r, None)
     return out
 

@@ -16,7 +16,6 @@ norm would give.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,33 +39,39 @@ __all__ = [
 FLAVORS = ("spectral_norm", "spectral_radius")
 
 
-def norm(v: np.ndarray) -> float:
-    """Euclidean (Frobenius) norm of a real array: the float np.linalg.norm
-    returns, by the same ravel, dot and sqrt, without its dispatch."""
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
+def sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean (Frobenius) norms of v[0], v[1], ...: the dots
+    np.linalg.norm takes the square root of, as one (c, 1, m) @ (c, m, 1)."""
+    v = v.reshape(len(v), 1, -1)
+    return (v @ v.transpose(0, 2, 1)).ravel()
 
 
-def deviations(x: np.ndarray, y: np.ndarray, phi: np.ndarray | None, pi_k: np.ndarray):
-    """(xbar, y_hat, ||x - 1 xbar^T||, ||y - pi_k y_hat^T||): xbar is the
-    phi-weighted (phi=None: uniform) mean of the rows of x, y_hat the tracker sum."""
-    xbar = x.mean(axis=0) if phi is None else phi @ x
-    y_hat = y.sum(axis=0)
-    return xbar, y_hat, norm(x - xbar), norm(y - pi_k[:, None] * y_hat)
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of v[0], v[1], ...: np.linalg.norm(v[i]) bit for bit."""
+    return np.sqrt(sq_norms(v))
+
+
+def deviations(x: np.ndarray, y: np.ndarray, phi: np.ndarray | None, pi: np.ndarray):
+    """(xbar, y_hat, ||x - 1 xbar^T||, ||y - pi y_hat^T||) for each row c of x, y
+    (c, n, p) and pi (c, n): xbar the phi-weighted (phi=None: uniform) mean, y_hat the sum."""
+    xbar = x.mean(axis=1) if phi is None else phi @ x
+    y_hat = y.sum(axis=1)
+    return xbar, y_hat, norms(x - xbar[:, None]), norms(y - pi[:, :, None] * y_hat[:, None])
 
 
 def metric_vector(
     x: np.ndarray, y: np.ndarray, x_star: np.ndarray, phi: np.ndarray | None, pi_k: np.ndarray
 ) -> tuple[float, float, float]:
     """(s1, s2, s3) for states x, y of shape (n, p): optimality gap of the
-    weighted mean, consensus error and tracker deviation, in Euclidean norms.
+    weighted mean, consensus error and tracker deviation, in Euclidean norms;
+    the one-row case of deviations.
 
     phi=None falls back to the uniform average for the mean (the honest
     choice when no stationary left vector is available, e.g. time-varying
     weights).
     """
-    xbar, _, s2, s3 = deviations(x, y, phi, pi_k)
-    return norm(xbar - x_star), s2, s3
+    xbar, _, s2, s3 = deviations(x[None], y[None], phi, pi_k[None])
+    return float(norms(xbar - x_star)[0]), float(s2[0]), float(s3[0])
 
 
 def _sigma(M: np.ndarray, flavor: str) -> float:

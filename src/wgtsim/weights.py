@@ -16,6 +16,7 @@ genuinely time dependent.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +133,15 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))
 
 
-def phi_static(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:
+def phi_static(A: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
     """Left stationary vector of a static row-stochastic matrix.
 
     Power iteration on A^T starting from the uniform vector, normalized to
     sum 1 each sweep. A must be row-stochastic with positive diagonal (which
     together with strong connectivity makes it primitive, so the iteration
-    converges to the unique stationary vector).
+    converges to the unique stationary vector). Slow mixing (long rings) leaves
+    max_iter sweeps short: then a direct solve, accepted if positive with
+    ||A^T phi - phi||_1 <= tol.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -155,7 +158,13 @@ def phi_static(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> np
         if np.abs(nxt - phi).sum() <= tol:
             return nxt
         phi = nxt
-    raise NumericalError(f"stationary vector did not converge within {max_iter} sweeps")
+    M = A.T - np.eye(n)
+    M[-1] = 1.0  # the last equation, implied by the others, gives way to 1^T phi = 1
+    with contextlib.suppress(np.linalg.LinAlgError):
+        phi = np.linalg.solve(M, np.eye(n)[-1])
+    if phi.min() > 0.0 and np.abs(A.T @ phi - phi).sum() <= tol:
+        return phi
+    raise NumericalError(f"stationary vector: {max_iter} sweeps and the direct solve fell short")
 
 
 def contraction_radii(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,9 +22,11 @@ GOLDEN_REPORT_SHA256 = {
     "run_wgt.yaml": "252f3c825c17a14d04b60c55545793e3e0b38b33e4af49f099d9b0115c6d6db2",
     "run_ab.yaml": "f501de72bc58ba48d7bd10b3bee8289b25f6e52a262d7dd74afba09166e68a64",
 }
-# The same for time_varying_ring_config: the weight draw and the mixing of a
-# larger network with time-varying weights, which the shipped runs skip.
+# The same for ring_config: the weight draw and the mixing of a larger
+# network with time-varying weights, which the shipped runs skip, and the
+# phi-weighted mean and stacked norms of a static ring of 64 agents with p=4.
 GOLDEN_TV_RING_SHA256 = "3aa627a8943e626540882836013f75e72c07b0250ec27842e92ea17d08dacdc7"
+GOLDEN_STATIC_RING_SHA256 = "f2d51bb3dded897ffca35f2955f17e5299411e379821cec52cc4b47d7d6039a0"
 # payload_digest (SHA-256 of the indented, key-sorted JSON) of the analysis
 # outputs on the shipped configs: the admissibility section of run_wgt's
 # report.json, and attack.json and audit.json without their config echo.
@@ -85,20 +88,20 @@ def baseline_config(tmp_path, out_dir, alpha=5.0e-4, K=3000, **extra):
     )
 
 
-def time_varying_ring_config(tmp_path, out_dir, n=40):
+def ring_config(tmp_path, out_dir, n=40, weight_mode="time-varying", p=2, K=300):
     # a directed ring plus chords i -> (7i + 3) mod n + 1 and i -> (11i + 5) mod n + 1
     edges = {(i, i % n + 1) for i in range(1, n + 1)}
     edges |= {(i, (c * i + o) % n + 1) for i in range(1, n + 1) for c, o in ((7, 3), (11, 5))}
     return write_config(
-        tmp_path / "tv_ring.yaml",
+        tmp_path / "ring.yaml",
         graph={"n": n, "edges": sorted([a, b] for a, b in edges if a != b)},
-        weights={"mode": "time-varying", "a_floor": 0.1, "b_floor": 0.1, "seed": 5},
-        objective={"n": n, "seed": 4},
+        weights={"mode": weight_mode, "a_floor": 0.1, "b_floor": 0.1, "seed": 5},
+        objective={"n": n, "p": p, "seed": 4},
         algorithm={
             "mode": "wgt",
             "alpha": 0.02,
             "lambda": {"e": 0.8, "m": 10.0},
-            "K": 300,
+            "K": K,
             "init_seed": 6,
         },
         report={"output_dir": str(out_dir)},
@@ -161,9 +164,33 @@ class TestRun:
         assert digest == GOLDEN_REPORT_SHA256[name]
 
     def test_time_varying_ring_report_bytes_are_pinned(self, tmp_path):
-        assert main(["run", time_varying_ring_config(tmp_path, tmp_path / "out")]) == 0
+        assert main(["run", ring_config(tmp_path, tmp_path / "out")]) == 0
         digest = hashlib.sha256((tmp_path / "out" / "report.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_TV_RING_SHA256
+
+    def test_static_ring_with_chords_report_bytes_are_pinned(self, tmp_path):
+        cfg = ring_config(tmp_path, tmp_path / "out", n=64, weight_mode="static", p=4, K=400)
+        assert main(["run", cfg]) == 0
+        digest = hashlib.sha256((tmp_path / "out" / "report.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_STATIC_RING_SHA256
+
+    def test_slow_mixing_ring_runs(self, tmp_path):
+        # a ring of 400 with one chord 1 -> 200 mixes too slowly for the power
+        # iteration to find phi; the direct solve takes over
+        n = 400
+        edges = [[i, i % n + 1] for i in range(1, n + 1)] + [[1, 200]]
+        cfg = write_config(
+            tmp_path / "slow.yaml",
+            graph={"n": n, "edges": edges},
+            objective={"n": n, "seed": 1},
+            algorithm={"mode": "wgt", "alpha": 0.02, "lambda": {"e": 0.8, "m": 10.0}, "K": 20},
+            report={"output_dir": str(tmp_path / "out")},
+        )
+        start = time.perf_counter()
+        assert main(["run", cfg]) == 0
+        assert time.perf_counter() - start < 1.0
+        summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
+        assert summary["xbar_weighting"] == "phi"
 
     def test_shipped_admissibility_section_is_pinned(self, tmp_path):
         payload = shipped_payload(tmp_path, "run", "run_wgt.yaml", "report.json")
@@ -220,6 +247,32 @@ class TestRun:
         assert main(["run", cfg]) == 0
         payload = json.loads((out / "report.json").read_text())
         assert "skipped" in payload["admissibility"]
+
+
+@pytest.mark.parametrize("command", ["run", "attack", "audit", "sweep", "validate"])
+def test_summable_lambda_warns_on_stderr_only(tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(
+        tmp_path / "e3.yaml",
+        graph={"preset": "sensor-6"},
+        objective={"seed": 2},
+        algorithm={"mode": "wgt", "alpha": 0.1, "lambda": {"e": 3.0, "m": 10.0}, "K": 60, "init_seed": 3},
+        report={"output_dir": str(tmp_path / "out")},
+        sweep={"seeds": [0], "e": {"grid": [0.8]}},
+    )
+
+    def outputs():
+        rc = main([command, cfg])
+        out, err = capsys.readouterr()
+        return rc, out, err, {f.name: f.read_bytes() for f in (tmp_path / "out").glob("*")}
+
+    rc, out, err, files = outputs()
+    assert err.splitlines() == [
+        "warning: algorithm.lambda.e = 3 > 1 makes lambda_k summable, outside the convergence theory"
+    ]
+    # the same command where the sum counts as divergent: no warning, and
+    # the exit code, stdout and every output file as they were
+    monkeypatch.setattr(engine.LambdaSchedule, "sum_diverges", True)
+    assert outputs() == (rc, out, "", files)
 
 
 class TestValidate:

@@ -4,19 +4,22 @@ The graph's adjacency structure is checked against a brute-force scan of
 its edge list, the weight matrices against a reference builder that scans
 the edges once per agent, the step kernel against a per-edge row scatter,
 and the engine's run against replay, the tracker-mass identity and the
-public definitions of its metrics row. A batch of cells is checked against
+public definitions of its metrics row, also where runs end at the edges of
+the blocks their bookkeeping is done in. A batch of cells is checked against
 their serial runs, and the eavesdropper's net outflow against a gathered
 sum. On two-agent rings the takeover audits' numeric ranks are checked
 against their structural counts.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wgtsim import adversary
+from wgtsim import adversary, engine
 from wgtsim.adversary import TwoAgentObservations, audit_gradient_system, audit_state_system, z_stream
 from wgtsim.engine import (
     LambdaSchedule, Scenario, StepSizes, Transcript, _plans, _step, replay, run, run_batch,
@@ -191,7 +194,7 @@ def test_step_mixes_like_a_per_edge_row_scatter(graph, mode, weight_mode, p, see
     plans = _plans(scen.weights, p)
     for _ in range(k):
         plan, B = next(plans)
-    x_next, y_next, _, _ = _step(mode, x, y, zero, plan, alphas, (0.5, 0.25), np.zeros_like)
+    x_next, y_next, _, _, _ = _step(mode, x, y, zero, plan, alphas, 0.25, np.zeros_like)
 
     A, _ = scen.weights.matrices_at(k)
     sent = x - alphas * y if mode == "wgt" else x
@@ -234,6 +237,79 @@ def test_metrics_row_equals_the_public_definitions(graph, mode, weight_mode, p, 
         assert report.lambdas[t] == w
         assert report.conservation_residuals[t] == np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0))
         assert report.grad_norms[t] == np.linalg.norm(g)
+
+
+def blocks_of(rows):
+    """run and run_batch with blocks of the given number of rows, whatever their size."""
+    return mock.patch.multiple(engine, BLOCK_ROWS=rows, BLOCK_FLOATS=2**40)
+
+
+def assert_rows_match_the_states(scen, mode, report, transcript):
+    """report's tables, final state and transcript, row by row from its states,
+    are what np.linalg.norm, pi_sequence and the senders' messages give."""
+    xs, ys = report.states
+    K, x_star = report.K, report.x_star
+    phi = phi_static(scen.weights.matrices_at(1)[0]) if scen.weights.mode == "static" else None
+    src, dst = scen.graph.edge_index_arrays()
+    init = float(np.linalg.norm(xs[0] - x_star)) ** 2
+    for t, (x, y) in enumerate(zip(xs, ys)):
+        g = scen.ensemble.gradients(x)
+        w = scen.lam.value(t + 1) if mode == "wgt" else 1.0
+        xbar = x.mean(axis=0) if phi is None else phi @ x
+        row = (
+            float(np.linalg.norm(x - x_star)) ** 2 / (init or 1.0),
+            np.linalg.norm(x - xbar),
+            np.linalg.norm(y - np.outer(report.pis[t], y.sum(axis=0))),
+            w,
+            np.linalg.norm(y.sum(axis=0) - w * g.sum(axis=0)),
+            np.linalg.norm(g),
+        )
+        assert report.metrics[t].tobytes() == np.array(row).tobytes()
+        if t < K:
+            B = scen.weights.matrices_at(t + 1)[1]
+            sent = x - scen.steps.values[:, None] * y if mode == "wgt" else x
+            assert transcript.x_msgs[t].tobytes() == sent[src].tobytes()
+            assert transcript.y_msgs[t].tobytes() == (B[dst, src][:, None] * y[src]).tobytes()
+    assert report.pis.tobytes() == scen.weights.pi_sequence(K + 1).tobytes()
+    assert transcript.K == K and report.final_state.k == K + 1
+    assert report.final_state.x.tobytes() == xs[K].tobytes()
+    assert report.final_state.y.tobytes() == ys[K].tobytes()
+
+
+def record_rows(values, lower):
+    """Rows t >= 2 whose value is below (lower) or above every one of rows 1..t-1."""
+    return [t for t in range(2, len(values))
+            if (values[t] < values[1:t].min() if lower else values[t] > values[1:t].max())]
+
+
+@SETTINGS
+@given(*SCENARIOS, st.integers(1, 6))
+def test_block_edges_keep_every_row(graph, mode, weight_mode, p, seed, data, rows):
+    scen = random_scenario(graph, mode, weight_mode, p, seed, data)
+    with blocks_of(rows):
+        for K in (0, rows - 1, rows, rows + 1, 2 * rows):
+            assert_rows_match_the_states(scen, mode, *run(scen, mode, K, record_states=True))
+    # a stop on row t: t is the first row of the second block of t rows and
+    # the last row of the first block of t + 1
+    residuals = run(scen, mode, 24, record_states=True)[0].residuals
+    lows = record_rows(residuals, lower=True)
+    assert lows
+    t = data.draw(st.sampled_from(lows))
+    for block in (t, t + 1):
+        with blocks_of(block):
+            report, tr = run(scen, mode, 24, stop_when_below=residuals[t], record_states=True)
+        assert report.K == t
+        assert_rows_match_the_states(scen, mode, report, tr)
+    # a divergence on row t, inside the first block of t + 2 rows
+    wild = dataclasses.replace(scen, steps=StepSizes.homogeneous(300.0 / scen.ensemble.L, graph.n))
+    residuals = run(wild, mode, 12, divergence_cap=np.inf, record_transcript=False)[0].residuals
+    highs = record_rows(residuals, lower=False)
+    assert highs
+    t = data.draw(st.sampled_from(highs))
+    with blocks_of(t + 2), pytest.raises(DivergenceError) as exc:
+        run(wild, mode, 12, divergence_cap=residuals[1:t].max())
+    assert exc.value.k == t + 1
+    assert np.float64(exc.value.residual).tobytes() == residuals[t].tobytes()
 
 
 @SETTINGS
@@ -318,6 +394,33 @@ def test_batch_matches_serial_runs_cell_by_cell(graph, weight_mode, p, seed, thr
         assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
     assert serial[0][2] is not None
     assert serial[1][2] is None and serial[1][0] == (1 if threshold > 1.0 else None)
+
+
+@SETTINGS
+@given(ring_plus_chords(), st.sampled_from(["static", "time-varying"]), st.integers(1, 4),
+       st.integers(0, 2**16), st.data())
+def test_batch_cells_leave_on_block_edges(graph, weight_mode, p, seed, data):
+    # the threshold is a record low of the first cell's residuals, on row t:
+    # the first row of the second block of t - 1 steps and the last of the
+    # first block of t
+    weights = WeightSchedule(graph, mode=weight_mode, a_floor=A_FLOOR, b_floor=B_FLOOR, seed=seed)
+    scenarios = []
+    for c, fraction in enumerate([0.5, 1.0, 2.0]):
+        ensemble = make_sensor_scenario(n=graph.n, d=3, p=p, seed=seed + c)
+        scenarios.append(Scenario(graph=graph, weights=weights, ensemble=ensemble,
+                                  steps=StepSizes.homogeneous(fraction / ensemble.L, graph.n),
+                                  lam=LambdaSchedule(e=0.8, m=1.0), init_seed=seed + c))
+    K, cap = 40, 1e8
+    residuals = run(scenarios[0], "wgt", K, record_transcript=False)[0].residuals
+    t = data.draw(st.sampled_from(record_rows(residuals, lower=True)))
+    serial = [serial_cell(scen, K, residuals[t], cap) for scen in scenarios]
+    assert serial[0] == (t + 1, residuals[t], None)
+    for block in (t - 1, t, 1):
+        with blocks_of(block):
+            batch = run_batch(scenarios, K, stop_when_below=residuals[t], divergence_cap=cap)
+        for (its, residual, diverged_at), (its_ref, residual_ref, diverged_ref) in zip(batch, serial):
+            assert (its, diverged_at) == (its_ref, diverged_ref)
+            assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
 
 
 @SETTINGS

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wgtsim.errors import ConfigError
+from wgtsim.errors import ConfigError, NumericalError
 from wgtsim.graph import DirectedGraph, directed_ring, sensor_network_6
 from wgtsim.weights import WeightSchedule, contraction_radii, phi_static
 
@@ -110,6 +110,24 @@ class TestStationaryVectors:
         v = np.real(vecs[:, idx])
         v = v / v.sum()
         assert np.allclose(phi, v, atol=1e-10)
+
+    def test_slow_mixing_ring_falls_back_to_a_direct_solve(self):
+        # a ring of 400 with one chord 1 -> 200: 10,000 power sweeps fall short
+        n = 400
+        edges = {(i, i % n + 1) for i in range(1, n + 1)} | {(1, 200)}
+        A = WeightSchedule(DirectedGraph(n, tuple(sorted(edges)))).matrices_at(1)[0]
+        phi = phi_static(A)
+        assert (phi > 0).all()
+        assert np.abs(A.T @ phi - phi).sum() <= 1e-12
+        vals, vecs = np.linalg.eig(A.T)
+        v = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
+        assert np.abs(phi - v / v.sum()).sum() <= 1e-11
+
+    def test_boundary_stationary_vector_is_refused(self):
+        # agent 1 absorbs the rest: the solve finds phi = e_1, not positive
+        A = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+        with pytest.raises(NumericalError, match="direct solve"):
+            phi_static(A, max_iter=1)
 
     def test_pi_sequence_static_matches_right_eigenvector(self):
         sched = WeightSchedule(GRAPH, mode="static")
