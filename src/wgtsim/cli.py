@@ -73,15 +73,15 @@ def _section(cfg: dict, name: str, allowed: set, required: bool = True) -> dict:
     return sec
 
 
-def _as_float(value, where: str, lo: float | None = None) -> float:
+def _as_float(value, where: str, lo: float | None = None, strict: bool = False) -> float:
     try:
         x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    if lo is not None and x < lo:
-        raise ConfigError(f"{where} must be >= {lo:g}, got {x}")
+    if lo is not None and (x <= lo if strict else x < lo):
+        raise ConfigError(f"{where} must be {'>' if strict else '>='} {lo:g}, got {x}")
     return x
 
 
@@ -123,9 +123,10 @@ _FIELDS = {
     "objective": {"n": (None, _as_int), "d": (3, _as_count), "p": (2, _as_count),
                   "r": (0.01, partial(_as_float, lo=0.0)), "seed": (0, _as_seed)},
     "algorithm": {"K": (1, _as_count), "init_seed": (0, _as_seed)},
-    "report": {"output_dir": (".", _as_text), "residual_threshold": (1e-6, _as_float),
+    "report": {"output_dir": (".", _as_text), "residual_threshold": (1e-6, partial(_as_float, lo=0.0)),
                "record_transcript": (False, _as_bool), "admissibility": (False, _as_bool),
-               "admissibility_horizon": (200, _as_count), "divergence_cap": (1e12, _as_float)},
+               "admissibility_horizon": (200, _as_count),
+               "divergence_cap": (1e12, partial(_as_float, lo=0.0, strict=True))},
 }
 # override flag -> the (section, key) it replaces, and its argparse type
 _FLAGS = {

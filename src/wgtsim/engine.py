@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -144,9 +144,9 @@ def check_steps(mode: str, steps: StepSizes) -> None:
 
 def check_tables(graph: DirectedGraph, p: int, K: int, *, record_transcript: bool = False,
                  record_states: bool = False) -> None:
-    """Raise ConfigError if the tables of a K-iteration run (metrics, pis and
-    what it records) exceed BUFFER_LIMIT_BYTES."""
-    floats = (K + 1) * (len(METRIC_COLUMNS) + graph.n + (2 * graph.n * p if record_states else 0))
+    """Raise ConfigError if the tables of a K-iteration run (metrics and what
+    it records) exceed BUFFER_LIMIT_BYTES."""
+    floats = (K + 1) * (len(METRIC_COLUMNS) + (2 * graph.n * p if record_states else 0))
     floats += 2 * K * len(graph.edges) * p if record_transcript else 0
     if (size := 8 * floats) > BUFFER_LIMIT_BYTES:
         raise ConfigError(f"the tables of a {K}-iteration run take {size / 2**30:.1f} GiB, over "
@@ -230,7 +230,8 @@ class RunReport:
     iteration k = t + 1; a K-step run has K + 1 rows, the first describing
     the initial state. residuals are squared distances to the consensus
     optimum, normalized by the initial one. residuals, consensus_errors and
-    the other per-metric attributes are views of the table's columns.
+    the other per-metric attributes are views of the table's columns; pis is
+    built from the run's weight schedule when it is read.
     """
 
     mode: str
@@ -241,7 +242,7 @@ class RunReport:
     threshold: float
     metrics: np.ndarray  # (K+1, len(METRIC_COLUMNS))
     x_star: np.ndarray
-    pis: np.ndarray  # (K+1, n)
+    weights: WeightSchedule = field(repr=False)
     final_state: NetworkState
     states: tuple[np.ndarray, np.ndarray] | None = None  # (xs, ys), if recorded
 
@@ -253,8 +254,9 @@ class RunReport:
     grad_norms = _column(5)
 
     @property
-    def ks(self) -> np.ndarray:
-        return np.arange(1, self.K + 2)
+    def pis(self) -> np.ndarray:
+        """(K+1, n): pi_1..pi_{K+1}, the tracker profiles of the rows."""
+        return self.weights.pi_sequence(self.K + 1)
 
     def iterations_to_threshold(self) -> int | None:
         hit = np.nonzero(self.residuals <= self.threshold)[0]
@@ -382,7 +384,6 @@ def run(
     record_states: bool = False,
     residual_threshold: float = 1e-6,
     divergence_cap: float = 1e12,
-    stop_when_below: float | None = None,
 ) -> tuple[RunReport, Transcript | None]:
     """Execute K synchronous iterations and collect per-iteration metrics.
 
@@ -391,10 +392,9 @@ def run(
     tables would take more than BUFFER_LIMIT_BYTES is refused with
     ConfigError before any is allocated. The report
     has one row per visited iterate including the initial state: K + 1
-    rows, fewer if stop_when_below is set and the residual crosses it
-    first. A non-finite or cap-exceeding residual aborts with
-    DivergenceError. Rows are evaluated a block at a time; a stop or a
-    divergence still takes effect at its own row.
+    rows. A non-finite or cap-exceeding residual aborts with
+    DivergenceError. Rows are evaluated a block at a time; a divergence
+    still takes effect at its own row.
     """
     if mode not in MODES:
         raise ValueError(f"mode {mode!r} not in {MODES}")
@@ -411,26 +411,24 @@ def run(
     weighting = "uniform" if phi is None else "phi"
 
     metrics = np.empty((K + 1, len(METRIC_COLUMNS)))
-    pis = np.empty((K + 1, n))
     x_msgs, y_msgs = np.empty((2, K, len(scenario.graph.edges), p)) if record_transcript else (None, None)
     xs, ys = np.empty((2, K + 1, n, p)) if record_states else (None, None)
     L = _block_rows(3 * n * p)
 
     pi, pi_moves, norm_by = np.full(n, 1.0 / n), True, 1.0
 
-    def evaluate(t0: int, block: list) -> int | None:
-        """Fill the block's rows, from row t0 on; return its first row (past row 0)
-        at or below stop_when_below, or raise at its first divergent one."""
+    def evaluate(t0: int, block: list) -> None:
+        """Fill the block's rows, from row t0 on; raise at its first divergent one past row 0."""
         nonlocal norm_by
         t1 = t0 + len(block)
         # one row (large n * p) is viewed, not copied: its copies would add to the peak memory
-        X, Y, G = (rows[0][None] if len(block) == 1 else np.array(rows) for rows in zip(*block))
+        X, Y, G, P = (rows[0][None] if len(block) == 1 else np.array(rows) for rows in zip(*block))
         lam = metrics[t0:t1, 3]
         sq = _squares(monitor.sq_norms(X - x_star))
         if t0 == 0:  # residuals are relative to the initial squared distance, where it is not 0
             norm_by = sq[0] if sq[0] > 0.0 else 1.0
         res = (sq / norm_by).tolist()
-        _, y_hat, s2, s3 = monitor.deviations(X, Y, phi, pis[t0:t1])
+        _, y_hat, s2, s3 = monitor.deviations(X, Y, phi, P)
         conservation = monitor.norms(y_hat - lam[:, None] * G.sum(axis=1))
         metrics[t0:t1, [0, 1, 2, 4, 5]] = np.column_stack((res, s2, s3, conservation, monitor.norms(G)))
         if record_states:
@@ -438,13 +436,10 @@ def run(
         for t, r in enumerate(res[1:] if t0 == 0 else res, max(t0, 1)):
             if not math.isfinite(r) or r > divergence_cap:
                 raise DivergenceError(t + 1, r)
-            if stop_when_below is not None and r <= stop_when_below:
-                return t
-        return None
 
     # the loop steps and buffers, and evaluates a block once it is full; steps
-    # past a stop or divergence are dropped, overflows and all
-    stop, block = None, []  # the states and gradients of the block's rows
+    # past a divergence are dropped, overflows and all
+    block = []  # the states, gradients and pi of the block's rows
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (x, y, g, w, msgs, B) in enumerate(_trajectory(scenario, mode, K)):
             if k and record_transcript:
@@ -452,33 +447,26 @@ def run(
             if k and pi_moves:  # a static B_k leaves pi as it is once B pi == pi bit for bit
                 pi, last = B @ pi, pi
                 pi_moves = phi is None or not np.array_equal(pi, last)
-            pis[k], metrics[k, 3] = pi, w
-            block.append((x, y, g))
+            metrics[k, 3] = w
+            block.append((x, y, g, pi))
             if len(block) == L or k == K:
-                t0 = k + 1 - len(block)
-                if (stop := evaluate(t0, block)) is not None:
-                    x, y, _ = block[stop - t0]
-                    break
+                evaluate(k + 1 - len(block), block)
                 block = []
-    K_run = K if stop is None else stop
 
-    rows = slice(K_run + 1)  # an early stop keeps the visited rows only
     report = RunReport(
         mode=mode,
-        K=K_run,
+        K=K,
         n=n,
         p=p,
         xbar_weighting=weighting,
         threshold=residual_threshold,
-        metrics=metrics[rows],
+        metrics=metrics,
         x_star=x_star,
-        pis=pis[rows],
-        final_state=NetworkState(K_run + 1, x, y),
-        states=(xs[rows], ys[rows]) if record_states else None,
+        weights=ws,
+        final_state=NetworkState(K + 1, x, y),
+        states=(xs, ys) if record_states else None,
     )
-    transcript = None
-    if record_transcript:
-        transcript = Transcript(mode, scenario.graph, p, x_msgs[:K_run], y_msgs[:K_run])
+    transcript = Transcript(mode, scenario.graph, p, x_msgs, y_msgs) if record_transcript else None
     return report, transcript
 
 
@@ -488,10 +476,11 @@ def run_batch(
     """Weighted tracking on cells that share the graph and the weight schedule.
 
     Each cell keeps only its state and residual, advancing through run's kernel
-    over a leading (S, n, p) axis, and leaves the batch where its own run(...,
-    stop_when_below=...) stops or raises DivergenceError. Returns per cell, bit
-    for bit as that run gives them, (iterations to threshold or None, terminal
-    residual or the one that tripped the guard, divergence k or None)."""
+    over a leading (S, n, p) axis. A cell leaves the batch at its first row past
+    row 0 whose residual is at or below stop_when_below, or at its first
+    divergent row, as run judges one. Returns per cell (iterations to threshold
+    or None, residual of the cell's last row, divergence k or None), bit for bit
+    what run's report up to that row, or its DivergenceError, gives."""
     if not scenarios or K < 0:
         raise ValueError(f"need cells and K >= 0, got {len(scenarios)} cells and K={K}")
     ws = scenarios[0].weights

@@ -240,21 +240,16 @@ class AdmissibilityReport:
     """
 
     K: int
-    n: int
     flavor: str
     sigma_A: float
     alpha_check: float
     sum_diverges: bool
     lam_description: str
     sigma_B: np.ndarray
-    xi: np.ndarray
-    theta: np.ndarray
-    lam: np.ndarray
     ratio: np.ndarray
     window_lb: np.ndarray
     window_ok: np.ndarray
     margin: np.ndarray  # constant coefficient of the step-size quadratic
-    alpha_terms: np.ndarray  # (K, 4)
     window_first_k: int | None
     alpha_bound: float | None
     binding_term: str | None
@@ -282,18 +277,6 @@ class AdmissibilityReport:
             "binding_term": self.binding_term,
             "admissible": self.admissible,
         }
-
-    def render(self) -> str:
-        d = self.to_dict()
-        lines = [
-            f"admissibility over horizon K={d['horizon']} ({d['flavor']} surrogates)",
-            f"  sigma_A={d['sigma_A']:.6f}  sigma_B in [{d['sigma_B_range'][0]:.6f}, {d['sigma_B_range'][1]:.6f}]",
-            f"  lambda_k = {d['lambda']}  (divergent sum: {d['lambda_sum_diverges']})",
-            f"  ratio window: {d['window_violations']} violations, holds from k={d['window_first_k']}",
-            f"  step bound: {d['alpha_bound']}  (binding: {d['binding_term']})",
-            f"  configured max step {d['alpha_check']:g} admissible: {d['admissible']}",
-        ]
-        return "\n".join(lines)
 
 
 def admissibility_report(
@@ -330,8 +313,6 @@ def admissibility_report(
     lam_vals = np.array([lam.value(k) for k in range(1, K + 2)])
     pis = weights.pi_sequence(K + 1)
     sigma_B = np.empty(K)
-    xi = np.empty(K)
-    theta = np.empty(K)
     margin = np.empty(K)
     window_lb = np.empty(K)
     terms = np.full((K, 4), np.inf)
@@ -369,8 +350,6 @@ def admissibility_report(
             terms[k - 1, 3] = 2.0 * mrg / (lin + np.sqrt(lin**2 + 4.0 * quad * mrg))
 
         sigma_B[k - 1] = sB
-        xi[k - 1] = xk
-        theta[k - 1] = th
         margin[k - 1] = mrg
         window_lb[k - 1] = 1.0 - rn * mu * (1.0 - sB) * th / (2.0 * L * xk * phi_norm)
 
@@ -393,21 +372,16 @@ def admissibility_report(
 
     return AdmissibilityReport(
         K=K,
-        n=n,
         flavor=flavor,
         sigma_A=sigma_A,
         alpha_check=alpha_check,
         sum_diverges=bool(lam.sum_diverges),
         lam_description=lam.describe(),
         sigma_B=sigma_B,
-        xi=xi,
-        theta=theta,
-        lam=lam_vals[:-1],
         ratio=ratio,
         window_lb=window_lb,
         window_ok=window_ok,
         margin=margin,
-        alpha_terms=terms,
         window_first_k=window_first_k,
         alpha_bound=alpha_bound,
         binding_term=binding,

@@ -434,11 +434,18 @@ class TestConfigErrors:
         for report in (
             {"divergence_cap": float("nan")},
             {"divergence_cap": float("inf")},
+            {"divergence_cap": 0.0},
+            {"divergence_cap": -1.0},
+            {"residual_threshold": -1.0},
             {"record_transcript": "no"},
             {"admissibility": "no"},
         ):
-            self.run_expecting_2(tmp_path, capsys, **base, algorithm=algo, report=report)
-        self.run_expecting_2(tmp_path, capsys, "--threshold", "nan", **base, algorithm=algo)
+            report = {"output_dir": str(tmp_path / "out"), **report}
+            for command in ("run", "validate"):
+                self.run_expecting_2(tmp_path, capsys, command=command, **base, algorithm=algo,
+                                     report=report)
+        for threshold in ("nan", "-1"):
+            self.run_expecting_2(tmp_path, capsys, "--threshold", threshold, **base, algorithm=algo)
         for flag in ("--objective-seed", "--init-seed", "--weight-seed"):
             self.run_expecting_2(tmp_path, capsys, flag, "-1", **base, algorithm=algo)
         # validate refuses the sweep sections the sweep command refuses

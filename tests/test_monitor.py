@@ -357,11 +357,9 @@ class TestAdmissibility:
                 ws, ens, StepSizes.homogeneous(1e-5, 6), SLOW_LAM, 10, flavor="frobenius"
             )
 
-    def test_render_and_dict(self, canonical):
+    def test_to_dict(self, canonical):
         ws, ens, *_ = canonical
         rep = admissibility_report(ws, ens, StepSizes.homogeneous(1e-5, 6), SLOW_LAM, 50)
-        text = rep.render()
-        assert "admissib" in text and "sigma_A" in text
         d = rep.to_dict()
         assert d["horizon"] == 50
         assert d["binding_term"] in AdmissibilityReport.TERM_NAMES
